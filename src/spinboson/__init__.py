@@ -29,7 +29,6 @@ from .spin_core import (
     ResourceLimitError,
     SpinPolynomial,
     TraceResult,
-    apply_word_in_irrep,
     dense_oracle_trace,
     irrep_multiplicity,
     irrep_sectors,

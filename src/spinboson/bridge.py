@@ -9,10 +9,6 @@ with the same letter content but different orderings.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -45,26 +41,6 @@ class ConvergenceReport:
             ]
         if self.fitted_rate is None:
             self.fitted_rate = fit_decay_rate(self.n_values, self.abs_errors)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "N_values": self.n_values,
-                "spin_values": self.spin_values,
-                "spin_decimals": self.spin_decimals,
-                "boson_value": self.boson_value,
-                "abs_errors": self.abs_errors,
-                "fitted_rate": self.fitted_rate,
-            }
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["N", "spin_value", "boson_value", "abs_error"])
-        for n, v, e in zip(self.n_values, self.spin_values, self.abs_errors):
-            writer.writerow([n, repr(v), repr(self.boson_value), repr(e)])
-        return buf.getvalue()
 
 
 def fit_decay_rate(n_values: Sequence[int], errors: Sequence[float]):
@@ -107,13 +83,20 @@ def verify_theorem(
     digits: int = 12,
 ) -> ConvergenceReport:
     """Spin traces against the x = 1/3 thermal expectation of the image."""
-    n_values = list(n_values)
-    if n_values != sorted(n_values):
-        raise ValueError("N values must be ascending")
     form = boson_image(poly)
     boson = thermal.thermal_expect(thermal.THEOREM_STATE, form)
     if not boson.is_real:
         raise ValueError(f"boson-side value {boson} is not real")
+    return _convergence_report(poly, n_values, boson.re, digits)
+
+
+def _convergence_report(
+    poly: SpinPolynomial, n_values: Sequence[int], boson, digits: int
+) -> ConvergenceReport:
+    """Trace ``poly`` at each ascending N against the boson-side value."""
+    n_values = list(n_values)
+    if n_values != sorted(n_values):
+        raise ValueError("N values must be ascending")
     spin_vals = []
     decimals = []
     for n in n_values:
@@ -123,7 +106,7 @@ def verify_theorem(
     return ConvergenceReport(
         n_values=n_values,
         spin_values=spin_vals,
-        boson_value=float(boson.re),
+        boson_value=float(boson),
         spin_decimals=decimals,
     )
 
@@ -188,24 +171,10 @@ def position_sector(
 
     ``f_coeffs`` are polynomial coefficients, lowest power first.
     """
-    n_values = list(n_values)
-    if n_values != sorted(n_values):
-        raise ValueError("N values must be ascending")
     poly = SpinPolynomial.zero()
     for k, c in enumerate(f_coeffs):
         poly = poly + SpinPolynomial.from_word((Z,) * k, c)
     boson = thermal.ground_position_expectation(
         [Fraction(c) for c in f_coeffs]
     )
-    spin_vals = []
-    decimals = []
-    for n in n_values:
-        res = spin_core.normalized_trace(n, poly, digits=digits)
-        spin_vals.append(res.real())
-        decimals.append(res.decimal)
-    return ConvergenceReport(
-        n_values=n_values,
-        spin_values=spin_vals,
-        boson_value=float(boson),
-        spin_decimals=decimals,
-    )
+    return _convergence_report(poly, n_values, boson, digits)

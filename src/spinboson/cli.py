@@ -17,7 +17,8 @@ from .parsing import ParseError, parse_polynomial, render_polynomial
 from .spin_core import ResourceLimitError
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argument parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="spinboson",
         description="Exact collective-spin traces and their bosonic limits.",
@@ -55,13 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="irrep engine against the dense oracle")
     common(p)
     p.add_argument("--oracle-cap", type=int, default=14, dest="oracle_cap")
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    with open(args.config) as fh:
+def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of a command's flags.
+
+    Keys are long option names; values are converted with the flag's own
+    type, so the command line still wins when the arguments are reparsed.
+    """
+    options = command._option_string_actions
+    defaults = {}
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -69,14 +75,25 @@ def _apply_config(args: argparse.Namespace) -> None:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not hasattr(args, key) or getattr(args, key) in (None, False):
-                if key in ("n", "digits", "max_l", "oracle_cap"):
-                    value = int(value)
-                elif key in ("float_path",):
-                    value = value.lower() in ("1", "true", "yes")
-                setattr(args, key, value)
+            key, value = key.strip(), value.strip()
+            action = options.get("--" + key.replace("_", "-"))
+            if action is None or action.default == argparse.SUPPRESS:  # --help
+                raise ValueError(f"unknown config key {key!r}")
+            try:
+                if action.nargs == 0:  # an on/off flag such as --float
+                    value = {"true": True, "false": False}[value.lower()]
+                elif action.type is not None:
+                    value = action.type(value)
+            except (KeyError, ValueError):
+                raise ValueError(
+                    f"config key {key!r}: invalid value {value!r}"
+                ) from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(
+                    f"config key {key!r} must be one of {list(action.choices)}"
+                )
+            defaults[action.dest] = value
+    command.set_defaults(**defaults)
 
 
 def _n_values(args) -> list:
@@ -168,7 +185,12 @@ def _cmd_verify(args) -> None:
         args,
         {"command": "verify",
          "inputs": {"expr": args.expr, "N": report.n_values},
-         "results": json.loads(report.to_json())},
+         "results": {"N_values": report.n_values,
+                     "spin_values": report.spin_values,
+                     "spin_decimals": report.spin_decimals,
+                     "boson_value": report.boson_value,
+                     "abs_errors": report.abs_errors,
+                     "fitted_rate": report.fitted_rate}},
         "\n".join(lines),
         rows,
     )
@@ -277,10 +299,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            _apply_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)

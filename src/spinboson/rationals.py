@@ -11,9 +11,10 @@ def _as_fraction(v) -> Fraction:
         return v
     if isinstance(v, (int, Rational)):
         return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    raise TypeError(f"cannot coerce {v!r} to an exact rational")
+    raise TypeError(
+        f"cannot use {v!r} as an exact rational; convert it explicitly "
+        f"with Fraction(...), e.g. Fraction('0.1') or Fraction(0.1)"
+    )
 
 
 class ComplexRational:
@@ -32,9 +33,7 @@ class ComplexRational:
     def coerce(cls, v) -> "ComplexRational":
         if isinstance(v, ComplexRational):
             return v
-        if isinstance(v, complex):
-            return cls(Fraction(v.real), Fraction(v.imag))
-        return cls(_as_fraction(v))
+        return cls(v)
 
     def __add__(self, other):
         other = ComplexRational.coerce(other)
@@ -116,8 +115,3 @@ class ComplexRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-ZERO = ComplexRational(0)
-ONE = ComplexRational(1)
-I = ComplexRational(0, 1)

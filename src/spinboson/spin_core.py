@@ -43,6 +43,8 @@ SpinWord = Tuple[str, ...]
 DEFAULT_ORACLE_CAP = 14
 #: budget on (sector dimension) x (total word degree) for a single trace
 DEFAULT_MAX_CELLS = 10**8
+#: budget on the estimated number of terms in a power p**k
+MAX_POWER_TERMS = 10**6
 
 
 class ResourceLimitError(Exception):
@@ -152,10 +154,31 @@ class SpinPolynomial:
     def __pow__(self, n: int) -> "SpinPolynomial":
         if n < 0:
             raise ValueError("negative powers are not defined")
+        if self._power_terms_estimate(n) > MAX_POWER_TERMS:
+            raise ResourceLimitError(
+                f"power {n} of a {len(self.terms)}-term polynomial would have "
+                f"more than {MAX_POWER_TERMS} terms"
+            )
         out = SpinPolynomial.identity()
         for _ in range(n):
             out = out * self
         return out
+
+    def _power_terms_estimate(self, n: int) -> int:
+        """Estimate min(t^n, sum_{L <= n*d} a^L) of the terms in self**n.
+
+        t is the number of terms, d the degree and a the number of distinct
+        letters.  Exponents are clipped where the value is already over the
+        budget, so no large integer is built.
+        """
+        clip = MAX_POWER_TERMS.bit_length()  # 2**clip > MAX_POWER_TERMS
+        letters = len({ch for word in self.terms for ch in word})
+        length = n * self.degree()
+        if letters == 1:
+            words = length + 1
+        else:
+            words = sum(letters**L for L in range(min(length, clip) + 1))
+        return min(len(self.terms) ** min(n, clip), words)
 
     def adjoint(self) -> "SpinPolynomial":
         return SpinPolynomial(
@@ -210,99 +233,6 @@ def irrep_sectors(N: int) -> Iterator[IrrepSpec]:
     """All sectors for N sites, smallest j first."""
     for twice_j in range(N % 2, N + 1, 2):
         yield IrrepSpec(twice_j, twice_j + 1, irrep_multiplicity(N, twice_j))
-
-
-# ---------------------------------------------------------------------------
-# Ladder action on a single sector
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    """An exact amplitude coeff * sqrt(radicand) with integer radicand."""
-
-    coeff: Fraction
-    radicand: int = 1
-
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1 or self.coeff == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.coeff if self.coeff else Fraction(0)
-
-    def __float__(self):
-        return float(self.coeff) * math.sqrt(self.radicand)
-
-    def __str__(self):
-        if self.is_rational:
-            return str(self.as_fraction())
-        return f"{self.coeff}*sqrt({self.radicand})"
-
-
-def _reduce_radical(coeff: Fraction, radicand: Fraction) -> Amplitude:
-    # normalize p/q under the root to an integer radicand, then strip squares
-    p, q = radicand.numerator, radicand.denominator
-    coeff = coeff / q
-    rad = p * q
-    r = math.isqrt(rad)
-    if r * r == rad:
-        return Amplitude(coeff * r, 1)
-    square = 1
-    d = 2
-    rest = rad
-    while d * d <= rest:
-        while rest % (d * d) == 0:
-            rest //= d * d
-            square *= d
-        d += 1
-    return Amplitude(coeff * square, rest)
-
-
-def apply_word_in_irrep(
-    word: Sequence[str], twice_j: int, m_index: int
-) -> Dict[int, Amplitude]:
-    """Apply a word to basis vector |j, m> with m = -j + m_index.
-
-    Letters act right-to-left.  Returns a sparse map from basis index to the
-    exact amplitude of the image (at most one entry, since ladder letters map
-    basis vectors to basis vectors).
-    """
-    word = _check_word(word)
-    if twice_j < 0:
-        raise ValueError("twice_j must be >= 0")
-    dim = twice_j + 1
-    if not 0 <= m_index < dim:
-        raise ValueError(f"m_index {m_index} outside sector of dimension {dim}")
-
-    tj = twice_j
-    tm = -tj + 2 * m_index
-    a = tj * (tj + 2)
-    coeff = Fraction(1)
-    radicand = Fraction(1)
-    for ch in reversed(word):
-        if ch == Z:
-            coeff *= Fraction(tm, 2)
-        elif ch == PLUS:
-            f = Fraction(a - tm * (tm + 2), 4)  # j(j+1) - m(m+1)
-            if f == 0:
-                return {}
-            radicand *= f
-            tm += 2
-        else:
-            f = Fraction(a - tm * (tm - 2), 4)  # j(j+1) - m(m-1)
-            if f == 0:
-                return {}
-            radicand *= f
-            tm -= 2
-        if coeff == 0:
-            return {}
-    amp = _reduce_radical(coeff, radicand)
-    if amp.coeff == 0:
-        return {}
-    return {(tm + tj) // 2: amp}
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +356,9 @@ def _sector_trace_poly(diag: _Poly2) -> list:
     return out
 
 
-def _p1_eval(coeffs: Sequence[Fraction], x) :
-    v = Fraction(0)
+def _p1_eval(coeffs: Sequence, x):
+    # an int start keeps one evaluator for Fraction and binary64 coefficients
+    v = 0
     for c in reversed(coeffs):
         v = v * x + c
     return v
@@ -567,9 +498,7 @@ def _normalized_trace_float(N: int, grouped, digits: int) -> TraceResult:
         comp = complex(0.0)  # Kahan compensation
         for tj in range(N % 2, N + 1, 2):
             w = math.exp(log_mult(tj) - N * ln2)
-            term = w * complex(
-                _p1_eval_float(re_poly, tj), _p1_eval_float(im_poly, tj)
-            )
+            term = w * complex(_p1_eval(re_poly, tj), _p1_eval(im_poly, tj))
             y = term - comp
             t = acc + y
             comp = (t - acc) - y
@@ -583,13 +512,6 @@ def _normalized_trace_float(N: int, grouped, digits: int) -> TraceResult:
         decimal=_render_decimal(N, exact, ComplexRational(0), digits) + " (float)",
         float_path=True,
     )
-
-
-def _p1_eval_float(coeffs, x):
-    v = 0.0
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,19 @@ reduce to scalar Boltzmann weights against the exact diagonal polynomial of
 the observable.  On the boson side everything collapses to geometric series
 in the weighted thermal state.
 
-Two readings of the paper-side normal ordering are provided:
+The boson side has one reading: the exponential weight and the observable
+are normal ordered together, and H maps to the x = 1/3 oscillator at
+hbar*omega/k_BT = ln 3.  This is the reading the finite-N spin computation
+converges to.
 
-* ``joint`` (default): the exponential weight and the observable are normal
-  ordered together.  This is the reading that the finite-N spin computation
-  converges to, and the one the closed forms below default to.
-* ``separable``: the weight is normal ordered on its own to (1-2g)^{a+a}
-  and simply multiplied against the normal-ordered observable.  Kept for
-  comparison; it does not reproduce the large-N spin limit.
+Note on the readings that are not implemented.  Normal ordering the weight
+on its own, to (1-2g)^{a+a}, and multiplying it against the normal-ordered
+observable (the "separable" reading) gives <a+a> = 1/5 at gamma = 1, kT = 4,
+against 2/5 for the joint reading; the spin side of S+S- + S-S+ tends to
+2 * 2/5 = 0.8, so only the joint reading matches the large-N limit.  The
+paper prints the prefactor as exp(-ln(1-2g) a+a); with that sign the
+prefactor cancels the weight (1-2g)^{a+a}, so the map below uses the
+opposite sign, the only one consistent with the weighted expectation.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import scipy.sparse as sp
 from . import spin_core, thermal
 from .boson import NormalForm
 from .rationals import ComplexRational
-from .spin_core import SpinPolynomial, TraceResult, Z
+from .spin_core import SpinPolynomial, Z
 from .thermal import THEOREM_STATE
 
 DEFAULT_DIGITS = 50
@@ -45,8 +50,10 @@ class XYParams:
     kT: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "kT", Fraction(self.kT))
+        # floats and complex numbers raise TypeError: no silent rounding
+        for name in ("gamma", "kT"):
+            value = ComplexRational.coerce(getattr(self, name)).as_fraction()
+            object.__setattr__(self, name, value)
         if self.kT <= 0:
             raise ValueError("kT must be positive")
 
@@ -190,18 +197,13 @@ def spin_thermal_dense_oracle(
     return num / den
 
 
-def boson_thermal_expectation(
-    params: XYParams, form: NormalForm, ordering: str = "joint"
-) -> Fraction:
+def boson_thermal_expectation(params: XYParams, form: NormalForm) -> Fraction:
     """Large-N boson-side XY expectation of a normal-ordered observable.
 
     With x = 1/3 and B = 1 - 2 gamma/kT, a diagonal term a+^m a^m takes the
-    value m! (x / (1 - B x))^m under the joint ordering; the separable
-    reading multiplies an extra B^m in.
+    value m! (x / (1 - B x))^m.
     """
     _require_valid(params)
-    if ordering not in ("joint", "separable"):
-        raise ValueError(f"unknown ordering convention {ordering!r}")
     base = 1 - 2 * params.g
     state = THEOREM_STATE
     den = thermal.thermal_expect_weighted(state, base, NormalForm.identity())
@@ -210,9 +212,7 @@ def boson_thermal_expectation(
         if m != n:
             continue
         raw = thermal.thermal_expect_weighted(state, base, NormalForm({(m, m): 1}))
-        if ordering == "joint":
-            raw = raw * Fraction(1, 1) / base**m
-        num = num + c * raw
+        num = num + c * raw / base**m
     return (num / den).as_fraction()
 
 
@@ -240,61 +240,18 @@ def effective_temperature(params: XYParams) -> float:
 
 
 def mapped_function(
-    params: XYParams,
-    form: NormalForm,
-    ordering: str = "joint",
-    sign: str = "plus",
+    params: XYParams, form: NormalForm
 ) -> Tuple[Fraction, NormalForm]:
     """Weight base and normal form implementing the XY function map.
 
     Returns (base, mapped_form) such that
     thermal_expect_weighted(x=1/3, base, mapped_form) normalized by the same
-    weight on the identity reproduces ``boson_thermal_expectation``.  The
-    paper prints the prefactor exp(-ln(1-2g) a+a); only the opposite
-    ("plus") sign is self-consistent with the weighted expectation, and the
-    "minus" reading is exposed for comparison (it cancels the weight).
+    weight on the identity reproduces ``boson_thermal_expectation``.
     """
     _require_valid(params)
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"unknown sign convention {sign!r}")
-    if ordering not in ("joint", "separable"):
-        raise ValueError(f"unknown ordering convention {ordering!r}")
     base = 1 - 2 * params.g
-    if sign == "minus":
-        # exp(-ln B a+a) * B^{a+a} is the identity weight
-        return (Fraction(1), NormalForm(dict(form.terms)))
-    if ordering == "separable":
-        return (base, NormalForm(dict(form.terms)))
     scaled = {
-        (m, n): ComplexRational.coerce(c) * Fraction(1) / base**m
+        (m, n): ComplexRational.coerce(c) / base**m
         for (m, n), c in form.terms.items()
     }
     return (base, NormalForm(scaled))
-
-
-def sweep_row(params: XYParams, N: int, poly: SpinPolynomial,
-              digits: int = 30) -> dict:
-    """One CSV row of the parameter sweep interface."""
-    report = validity_check(params)
-    row = {
-        "gamma": float(params.gamma),
-        "kT": float(params.kT),
-        "g": float(params.g),
-        "valid": report.passed,
-        "Z": None,
-        "T_eff": None,
-        f"expectation_spin(N={N})": spin_thermal_expectation(
-            params, N, poly, digits=digits
-        ),
-        "expectation_boson": None,
-    }
-    if report.passed:
-        row["Z"] = partition_function(params)
-        if params.gamma != 0:
-            row["T_eff"] = effective_temperature(params)
-        from .bridge import boson_image
-
-        row["expectation_boson"] = float(
-            boson_thermal_expectation(params, boson_image(poly))
-        )
-    return row

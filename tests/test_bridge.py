@@ -1,10 +1,8 @@
-import json
 from fractions import Fraction
 
 import pytest
 
 from spinboson.bridge import (
-    ConvergenceReport,
     boson_image,
     fit_decay_rate,
     ordering_sensitivity,
@@ -55,18 +53,6 @@ def test_verify_theorem_requires_sorted_n():
     poly = SpinPolynomial.s_plus() * SpinPolynomial.s_minus()
     with pytest.raises(ValueError):
         verify_theorem(poly, [100, 50])
-
-
-def test_report_serialization():
-    poly = SpinPolynomial.s_plus() * SpinPolynomial.s_minus()
-    report = verify_theorem(poly, [8, 16])
-    data = json.loads(report.to_json())
-    assert data["N_values"] == [8, 16]
-    assert data["boson_value"] == pytest.approx(0.5)
-    csv_text = report.to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "N,spin_value,boson_value,abs_error"
-    assert len(lines) == 3
 
 
 def test_fit_decay_rate():

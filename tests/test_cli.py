@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -136,3 +137,74 @@ def test_config_malformed_line(tmp_path, capsys):
     cfg.write_text("this is not a pair\n")
     code, _, err = run(capsys, "--config", str(cfg), "trace", "--expr", "Sz")
     assert code == 1 and "malformed" in err
+
+
+def test_config_values_are_typed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits=20\n")
+    code, out, _ = run(
+        capsys, "--config", str(cfg), "trace", "--expr", "Sz^4", "--n", "7"
+    )
+    assert code == 0 and out.strip() == "N=7: 0.16964285714285714286"
+    # the flag still wins over the file
+    code, out, _ = run(
+        capsys, "--config", str(cfg), "trace", "--expr", "Sz^4", "--n", "7",
+        "--digits", "4",
+    )
+    assert code == 0 and out.strip() == "N=7: 0.1696"
+    cfg.write_text("oracle_cap=3\n")
+    code, _, err = run(
+        capsys, "--config", str(cfg), "oracle", "--expr", "Sz^2", "--n", "5"
+    )
+    assert code == 2 and "N <= 3" in err
+
+
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text in ("bogus_key=hello\n", "digits=many\n", "format=xml\n",
+                 "float=maybe\n", "max-l=2\n", "help=true\n"):
+        cfg.write_text(text)
+        code, _, err = run(
+            capsys, "--config", str(cfg), "trace", "--expr", "Sz", "--n", "4"
+        )
+        assert code == 1 and "config key" in err
+
+
+def test_power_budget_exits_before_expanding(capsys):
+    code, _, err = run(capsys, "trace", "--expr", "(S+ + S-)^40", "--n", "4")
+    assert code == 2 and "resource error" in err
+    code, out, _ = run(capsys, "trace", "--expr", "(1 + Sz)^30", "--n", "4")
+    assert code == 0
+
+
+def test_verify_json_report(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--expr", "S+*S-", "--n-list", "8,16",
+        "--format", "json",
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert list(results) == ["N_values", "spin_values", "spin_decimals",
+                             "boson_value", "abs_errors", "fitted_rate"]
+    assert results["N_values"] == [8, 16]
+    assert results["boson_value"] == pytest.approx(0.5)
+
+
+def test_xy_json_row(capsys):
+    code, out, _ = run(
+        capsys, "xy", "--gamma", "1", "--kt", "4",
+        "--expr", "S+*S- + S-*S+", "--n", "64", "--format", "json",
+    )
+    assert code == 0
+    (row,) = json.loads(out)["results"]
+    assert row["valid"] is True
+    assert row["Z"] == pytest.approx(6 ** -0.5 / (1 - 1 / 6))  # r = 6
+    assert row["T_eff"] == pytest.approx(2 / math.log(6))
+    assert row["expectation_boson"] == pytest.approx(0.8)
+    assert row["expectation_spin"] == pytest.approx(0.8, abs=0.02)
+    code, out, _ = run(
+        capsys, "xy", "--gamma", "1", "--kt", "1",
+        "--expr", "S+*S- + S-*S+", "--n", "16", "--format", "json",
+    )
+    (row,) = json.loads(out)["results"]
+    assert code == 0 and row["valid"] is False and row["Z"] is None

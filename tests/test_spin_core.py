@@ -10,7 +10,6 @@ from spinboson.spin_core import (
     Z,
     ResourceLimitError,
     SpinPolynomial,
-    apply_word_in_irrep,
     dense_oracle_trace,
     irrep_multiplicity,
     irrep_sectors,
@@ -40,28 +39,6 @@ def test_multiplicity_sum_rule(N):
 def test_multiplicity_domain_errors(N, twice_j):
     with pytest.raises(ValueError):
         irrep_multiplicity(N, twice_j)
-
-
-def test_apply_word_examples():
-    # Sz |1/2, 1/2> = +1/2 |1/2, 1/2>
-    out = apply_word_in_irrep((Z,), 1, 1)
-    assert list(out) == [1]
-    assert out[1].as_fraction() == Fraction(1, 2)
-    # S+ S- |1, 0> = 2 |1, 0>
-    out = apply_word_in_irrep((PLUS, MINUS), 2, 1)
-    assert out[1].as_fraction() == 2
-    # S- S+ annihilates the highest weight state
-    assert apply_word_in_irrep((MINUS, PLUS), 2, 2) == {}
-
-
-def test_apply_word_irrational_amplitude():
-    # single S- from |1, 0>: amplitude sqrt(2)
-    out = apply_word_in_irrep((MINUS,), 2, 1)
-    amp = out[0]
-    assert not amp.is_rational
-    assert float(amp) == pytest.approx(2**0.5)
-    with pytest.raises(ValueError):
-        amp.as_fraction()
 
 
 def test_trace_identity_and_empty():
@@ -154,6 +131,16 @@ def test_dense_oracle_cap():
 def test_trace_budget():
     with pytest.raises(ResourceLimitError):
         normalized_trace(10**6, SpinPolynomial.s_x() ** 2, max_cells=10**4)
+
+
+def test_power_budget_rejects_before_expanding():
+    # (S+ + S-)^40 would have 2^40 words; neither it nor 2^(10^9) is built
+    for k in (40, 10**9):
+        with pytest.raises(ResourceLimitError, match="more than 1000000 terms"):
+            SpinPolynomial.s_x() ** k
+    # t^k is large, but one letter bounds the result to 31 words
+    one_plus_z = SpinPolynomial.identity() + SpinPolynomial.s_z()
+    assert len((one_plus_z ** 30).terms) == 31
 
 
 def test_float_path_is_labeled_and_close():

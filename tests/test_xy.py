@@ -16,7 +16,6 @@ from spinboson.xy import (
     partition_function,
     spin_thermal_dense_oracle,
     spin_thermal_expectation,
-    sweep_row,
     validity_check,
 )
 
@@ -33,6 +32,11 @@ def test_params_validation():
         XYParams(Fraction(1), Fraction(-2))
     p = XYParams(Fraction(1, 2), Fraction(2))
     assert p.g == Fraction(1, 4)
+    # floats are not silently turned into 55-bit rationals
+    with pytest.raises(TypeError, match="Fraction"):
+        XYParams(0.1, Fraction(1))
+    with pytest.raises(TypeError, match="Fraction"):
+        XYParams(Fraction(1), 1 + 0j)
 
 
 def test_validity_bounds_flip_at_edges():
@@ -86,13 +90,10 @@ def test_effective_temperature_values():
 
 
 def test_boson_expectation_orderings():
-    # g = 1/4, B = 1/2: joint gives x/(1-Bx) = 2/5, separable an extra B
+    # g = 1/4, B = 1/2: the joint ordering gives x/(1-Bx) = 2/5
     params = XYParams(Fraction(1), Fraction(4))
     form = NormalForm({(1, 1): 1})
     assert boson_thermal_expectation(params, form) == Fraction(2, 5)
-    assert boson_thermal_expectation(params, form, "separable") == Fraction(1, 5)
-    with pytest.raises(ValueError):
-        boson_thermal_expectation(params, form, "antinormal")
     with pytest.raises(ValidityError):
         boson_thermal_expectation(XYParams(Fraction(1), Fraction(1)), form)
 
@@ -143,21 +144,6 @@ def test_mapped_function_two_route_consistency():
     num = thermal_expect_weighted(THEOREM_STATE, base, mapped)
     den = thermal_expect_weighted(THEOREM_STATE, base, NormalForm.identity())
     assert (num / den).as_fraction() == boson_thermal_expectation(params, form)
-    # separable route agrees with its own expectation
-    base, mapped = mapped_function(params, form, ordering="separable")
-    num = thermal_expect_weighted(THEOREM_STATE, base, mapped)
-    assert (num / den).as_fraction() == boson_thermal_expectation(
-        params, form, "separable"
-    )
-
-
-def test_mapped_function_minus_sign_cancels_weight():
-    params = XYParams(Fraction(1), Fraction(4))
-    form = NormalForm({(1, 1): 1})
-    base, mapped = mapped_function(params, form, sign="minus")
-    assert base == 1 and mapped == form
-    with pytest.raises(ValueError):
-        mapped_function(params, form, sign="times")
 
 
 def test_boundary_divergence():
@@ -167,14 +153,3 @@ def test_boundary_divergence():
     assert partition_function(params_near) > 0
     with pytest.raises(ValidityError):
         partition_function(XYParams(Fraction(1, 2), Fraction(1)))
-
-
-def test_sweep_row_contents():
-    params = XYParams(Fraction(1), Fraction(4))
-    row = sweep_row(params, 64, _number_op())
-    assert row["valid"] is True
-    assert row["Z"] == pytest.approx(partition_function(params))
-    assert row["expectation_boson"] == pytest.approx(0.8)
-    assert row["expectation_spin(N=64)"] == pytest.approx(0.8, abs=0.02)
-    row = sweep_row(XYParams(Fraction(1), Fraction(1)), 16, _number_op())
-    assert row["valid"] is False and row["Z"] is None
