@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .rationals import ComplexRational
+from .rationals import CoefficientMap, ComplexRational
 
 CREATE = "C"
 ANNIHILATE = "A"
@@ -28,51 +28,15 @@ OperatorWord = Tuple[str, ...]
 _TermMap = Dict[Tuple[int, int], ComplexRational]
 
 
-def _clean(terms) -> _TermMap:
-    out: _TermMap = {}
-    for (m, n), coeff in terms.items():
+class _TermPolynomial(CoefficientMap):
+    """Finitely-supported map (m, n) -> coefficient with m, n >= 0."""
+
+    @staticmethod
+    def _check_key(key):
+        m, n = key
         if m < 0 or n < 0:
             raise ValueError(f"negative exponent in key ({m}, {n})")
-        c = ComplexRational.coerce(coeff)
-        if c:
-            out[(m, n)] = c
-    return out
-
-
-class _TermPolynomial:
-    """Shared finitely-supported map (m, n) -> coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _clean(terms or {})
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, ComplexRational(0)) + c
-        return type(self)(out)
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        c = ComplexRational.coerce(scalar)
-        return type(self)({k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+        return key
 
     def to_json(self) -> str:
         data = {

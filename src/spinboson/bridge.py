@@ -171,9 +171,7 @@ def position_sector(
 
     ``f_coeffs`` are polynomial coefficients, lowest power first.
     """
-    poly = SpinPolynomial.zero()
-    for k, c in enumerate(f_coeffs):
-        poly = poly + SpinPolynomial.from_word((Z,) * k, c)
+    poly = SpinPolynomial({(Z,) * k: c for k, c in enumerate(f_coeffs)})
     boson = thermal.ground_position_expectation(
         [Fraction(c) for c in f_coeffs]
     )

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import bridge, moments, spin_core, xy
-from .parsing import ParseError, parse_polynomial, render_polynomial
+from .parsing import parse_polynomial, render_polynomial
 from .spin_core import ResourceLimitError
 
 
@@ -49,8 +49,8 @@ def _build_parser():
     common(p)
     p = sub.add_parser("xy", help="Heisenberg XY application")
     common(p)
-    p.add_argument("--gamma", required=True, help="coupling (units of hbar)")
-    p.add_argument("--kt", required=True, help="temperature (k_B absorbed)")
+    p.add_argument("--gamma", help="coupling (units of hbar), required")
+    p.add_argument("--kt", help="temperature (k_B absorbed), required")
     p = sub.add_parser("normal-order", help="bosonic image of a polynomial")
     common(p, n=False)
     p = sub.add_parser("oracle", help="irrep engine against the dense oracle")
@@ -124,27 +124,35 @@ def _emit(args, payload: dict, text: str, csv_rows=None) -> None:
         print(out)
 
 
-def _cmd_trace(args) -> None:
+def _per_n_command(args, command: str, inputs: dict, step) -> None:
+    """Emit ``step(n, poly)`` -> (text line, row) for each requested N."""
     poly = parse_polynomial(_require(args, "expr"))
-    rows = []
-    lines = []
+    lines, rows = [], []
     for n in _n_values(args):
-        res = spin_core.normalized_trace(
-            n, poly, digits=args.digits, use_float=args.float_path
-        )
-        tag = " [float path]" if res.float_path else ""
-        lines.append(f"N={n}: {res.decimal}{tag}")
-        rows.append({"N": n, "value": res.decimal,
-                     "float_path": res.float_path})
+        line, row = step(n, poly)
+        lines.append(line)
+        rows.append(row)
     _emit(
         args,
-        {"command": "trace",
-         "inputs": {"expr": args.expr, "N": _n_values(args),
-                    "digits": args.digits, "float": args.float_path},
+        {"command": command,
+         "inputs": {"expr": args.expr, "N": _n_values(args), **inputs},
          "results": rows},
         "\n".join(lines),
         rows,
     )
+
+
+def _cmd_trace(args) -> None:
+    def step(n, poly):
+        res = spin_core.normalized_trace(
+            n, poly, digits=args.digits, use_float=args.float_path
+        )
+        tag = " [float path]" if res.float_path else ""
+        return (f"N={n}: {res.decimal}{tag}",
+                {"N": n, "value": res.decimal, "float_path": res.float_path})
+
+    inputs = {"digits": args.digits, "float": args.float_path}
+    _per_n_command(args, "trace", inputs, step)
 
 
 def _cmd_moments(args) -> None:
@@ -197,7 +205,8 @@ def _cmd_verify(args) -> None:
 
 
 def _cmd_xy(args) -> None:
-    params = xy.XYParams(Fraction(args.gamma), Fraction(args.kt))
+    params = xy.XYParams(Fraction(_require(args, "gamma")),
+                         Fraction(_require(args, "kt")))
     report = xy.validity_check(params)
     lines = [f"gamma={args.gamma} kT={args.kt} g={params.g}"]
     for name, ok in report.bounds:
@@ -253,32 +262,18 @@ def _cmd_normal_order(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    poly = parse_polynomial(_require(args, "expr"))
-    rows = []
-    lines = []
-    for n in _n_values(args):
+    def step(n, poly):
         engine = spin_core.normalized_trace(n, poly, digits=args.digits)
         dense = spin_core.dense_oracle_trace(
             n, poly, digits=args.digits, cap=args.oracle_cap
         )
-        match = engine.exact == dense.exact and engine.sqrt_n == dense.sqrt_n
-        lines.append(
-            f"N={n}: engine {engine.decimal}  dense {dense.decimal}  "
-            f"{'MATCH' if match else 'MISMATCH'}"
-        )
-        rows.append({"N": n, "engine": engine.decimal,
-                     "dense": dense.decimal, "match": match})
-        if not match:
+        if engine.exact != dense.exact or engine.sqrt_n != dense.sqrt_n:
             raise ValueError(f"oracle mismatch at N={n}")
-    _emit(
-        args,
-        {"command": "oracle",
-         "inputs": {"expr": args.expr, "N": _n_values(args),
-                    "oracle_cap": args.oracle_cap},
-         "results": rows},
-        "\n".join(lines),
-        rows,
-    )
+        return (f"N={n}: engine {engine.decimal}  dense {dense.decimal}  MATCH",
+                {"N": n, "engine": engine.decimal, "dense": dense.decimal,
+                 "match": True})
+
+    _per_n_command(args, "oracle", {"oracle_cap": args.oracle_cap}, step)
 
 
 def _require(args, name):
@@ -309,7 +304,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ParseError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -43,10 +43,7 @@ def mixed_limit_moment(m: int, ell: int) -> Fraction:
     """Limit of the mixed even moment; factorizes into single moments."""
     if m < 0 or ell < 0:
         raise ValueError("orders must be >= 0")
-    return Fraction(
-        math.factorial(2 * m) * math.factorial(2 * ell),
-        2 ** (3 * (m + ell)) * math.factorial(m) * math.factorial(ell),
-    )
+    return limit_moment(m) * limit_moment(ell)
 
 
 def characteristic_function(t: float) -> float:
@@ -83,14 +80,20 @@ def _poly_moment(coeffs: Sequence) -> Fraction:
     total = Fraction(0)
     for k, c in enumerate(coeffs):
         c = Fraction(c)
-        if not c or k % 2 == 1:
-            continue
-        m = k // 2
-        # <eta^{2m}> = (2m-1)!! / 4^m
-        total += c * Fraction(
-            math.factorial(2 * m), 2 ** (2 * m) * 2**m * math.factorial(m)
-        )
+        if c and k % 2 == 0:
+            # <eta^{2m}> = (2m-1)!! / 4^m, the limit moment of order m
+            total += c * limit_moment(k // 2)
     return total
+
+
+def _checked(val: float, err: float, tol: float) -> float:
+    """Quadrature value ``val``, or QuadratureError if its residual exceeds tol."""
+    if err > tol:
+        raise QuadratureError(
+            f"quadrature residual {err:.3e} exceeds tolerance {tol:.3e}",
+            residual=err,
+        )
+    return val
 
 
 def gaussian_expectation(f: Integrand, tol: float = DEFAULT_QUAD_TOL):
@@ -112,12 +115,7 @@ def gaussian_expectation(f: Integrand, tol: float = DEFAULT_QUAD_TOL):
         epsrel=tol / 10,
         limit=200,
     )
-    if err > tol:
-        raise QuadratureError(
-            f"quadrature residual {err:.3e} exceeds tolerance {tol:.3e}",
-            residual=err,
-        )
-    return val
+    return _checked(val, err, tol)
 
 
 SymbolLike = Mapping[Tuple[int, int], object]
@@ -133,32 +131,24 @@ def complex_gaussian_expectation(g, tol: float = DEFAULT_QUAD_TOL):
     if not callable(g):
         total = ComplexRational(0)
         for (m, n), coeff in g.items():
-            if m != n:
-                continue  # phase integral vanishes identically
-            total = total + ComplexRational.coerce(coeff) * Fraction(
-                math.factorial(m), 2**m
-            )
+            if m == n:  # the phase integral kills every m != n term
+                radial = Fraction(math.factorial(m), 2**m)
+                total = total + ComplexRational.coerce(coeff) * radial
         return total
     max_r = float(_TAIL_SIGMAS) * 0.5
 
-    def real_part(r, phi):
-        z = complex(r * math.cos(phi), r * math.sin(phi))
-        return (2.0 / math.pi) * g(z.conjugate(), z).real * math.exp(-2.0 * r * r) * r
-
-    def imag_part(r, phi):
-        z = complex(r * math.cos(phi), r * math.sin(phi))
-        return (2.0 / math.pi) * g(z.conjugate(), z).imag * math.exp(-2.0 * r * r) * r
+    def integrand(part):
+        def f(r, phi):
+            z = complex(r * math.cos(phi), r * math.sin(phi))
+            value = getattr(g(z.conjugate(), z), part)
+            return (2.0 / math.pi) * value * math.exp(-2.0 * r * r) * r
+        return f
 
     out = []
-    for part in (real_part, imag_part):
+    for part in ("real", "imag"):
         val, err = integrate.dblquad(
-            part, 0.0, 2.0 * math.pi, 0.0, max_r,
+            integrand(part), 0.0, 2.0 * math.pi, 0.0, max_r,
             epsabs=tol / 10, epsrel=tol / 10,
         )
-        if err > tol:
-            raise QuadratureError(
-                f"quadrature residual {err:.3e} exceeds tolerance {tol:.3e}",
-                residual=err,
-            )
-        out.append(val)
-    return complex(out[0], out[1])
+        out.append(_checked(val, err, tol))
+    return complex(*out)

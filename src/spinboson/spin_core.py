@@ -30,7 +30,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .rationals import ComplexRational
+from .rationals import CoefficientMap, ComplexRational
 
 PLUS = "+"
 MINUS = "-"
@@ -42,13 +42,35 @@ SpinWord = Tuple[str, ...]
 
 DEFAULT_ORACLE_CAP = 14
 #: budget on (sector dimension) x (total word degree) for a single trace
-DEFAULT_MAX_CELLS = 10**8
+MAX_TRACE_CELLS = 10**8
+#: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
+MAX_WORD_LETTERS = 64
 #: budget on the estimated number of terms in a power p**k
 MAX_POWER_TERMS = 10**6
 
 
 class ResourceLimitError(Exception):
     """Raised when a computation would exceed its configured budget."""
+
+
+def _check_word_length(length: int) -> None:
+    if length > MAX_WORD_LETTERS:
+        raise ResourceLimitError(
+            f"words of {length} letters exceed the limit of {MAX_WORD_LETTERS}"
+        )
+
+
+def check_trace_budget(N: int, poly: "SpinPolynomial") -> None:
+    """Refuse a trace of ``poly`` at N sites before any work is done."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    degree = poly.degree()
+    _check_word_length(degree)
+    if (N + 1) * max(1, degree) > MAX_TRACE_CELLS:
+        raise ResourceLimitError(
+            f"sector dimension {N + 1} x degree {degree} exceeds "
+            f"budget {MAX_TRACE_CELLS}"
+        )
 
 
 def _check_word(word: Sequence[str]) -> SpinWord:
@@ -65,7 +87,7 @@ def word_adjoint(word: SpinWord) -> SpinWord:
     return tuple(swap[ch] for ch in reversed(word))
 
 
-class SpinPolynomial:
+class SpinPolynomial(CoefficientMap):
     """Exact linear combination of words over {S+, S-, Sz}.
 
     Each letter carries an implicit 1/sqrt(N) scaling that is applied when a
@@ -73,15 +95,8 @@ class SpinPolynomial:
     are never stored.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[SpinWord, ComplexRational] | None = None):
-        clean: Dict[SpinWord, ComplexRational] = {}
-        for word, coeff in (terms or {}).items():
-            c = ComplexRational.coerce(coeff)
-            if c:
-                clean[_check_word(word)] = c
-        self.terms = clean
+    __slots__ = ()
+    _check_key = staticmethod(_check_word)
 
     # -- constructors -------------------------------------------------------
 
@@ -122,18 +137,6 @@ class SpinPolynomial:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other: "SpinPolynomial") -> "SpinPolynomial":
-        out = dict(self.terms)
-        for word, c in other.terms.items():
-            out[word] = out.get(word, ComplexRational(0)) + c
-        return SpinPolynomial(out)
-
-    def __sub__(self, other: "SpinPolynomial") -> "SpinPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "SpinPolynomial":
-        return SpinPolynomial({w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other) -> "SpinPolynomial":
         if not isinstance(other, SpinPolynomial):
             return self.scale(other)
@@ -144,13 +147,6 @@ class SpinPolynomial:
                 out[w] = out.get(w, ComplexRational(0)) + c1 * c2
         return SpinPolynomial(out)
 
-    def __rmul__(self, other) -> "SpinPolynomial":
-        return self.scale(other)
-
-    def scale(self, scalar) -> "SpinPolynomial":
-        c = ComplexRational.coerce(scalar)
-        return SpinPolynomial({w: c * v for w, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "SpinPolynomial":
         if n < 0:
             raise ValueError("negative powers are not defined")
@@ -159,6 +155,7 @@ class SpinPolynomial:
                 f"power {n} of a {len(self.terms)}-term polynomial would have "
                 f"more than {MAX_POWER_TERMS} terms"
             )
+        _check_word_length(n * self.degree())
         out = SpinPolynomial.identity()
         for _ in range(n):
             out = out * self
@@ -180,16 +177,8 @@ class SpinPolynomial:
             words = sum(letters**L for L in range(min(length, clip) + 1))
         return min(len(self.terms) ** min(n, clip), words)
 
-    def adjoint(self) -> "SpinPolynomial":
-        return SpinPolynomial(
-            {word_adjoint(w): c.conjugate() for w, c in self.terms.items()}
-        )
-
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, SpinPolynomial) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -385,8 +374,7 @@ class TraceResult:
     float_path: bool = False
 
     def approx(self) -> complex:
-        v = complex(self.exact) + complex(self.sqrt_n) * math.sqrt(self.n)
-        return v
+        return complex(self.exact) + complex(self.sqrt_n) * math.sqrt(self.n)
 
     def real(self) -> float:
         v = self.approx()
@@ -412,6 +400,21 @@ def _render_decimal(result_n: int, exact: ComplexRational,
     return f"{re}{sign}{abs(im)}i"
 
 
+def letter_scale(N: int, L: int) -> Tuple[Fraction, bool]:
+    """N^{-L/2} as a rational factor and whether sqrt(N) multiplies it."""
+    return Fraction(1, N ** ((L + 1) // 2)), L % 2 == 1
+
+
+def _scaled_result(N: int, values, digits: int) -> TraceResult:
+    """TraceResult of the sum of val * N^{-L/2} over (L, val) pairs."""
+    parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
+    for L, val in values:
+        factor, radical = letter_scale(N, L)
+        parts[radical] = parts[radical] + val * factor
+    exact, sqrt_n = parts
+    return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))
+
+
 def _trace_word_sums(N: int, poly: SpinPolynomial):
     """Group words by length and return {L: summed trace polynomial in tj}."""
     grouped: Dict[int, Dict[str, list]] = {}
@@ -432,7 +435,6 @@ def normalized_trace(
     poly: SpinPolynomial,
     digits: int = 12,
     use_float: bool = False,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> TraceResult:
     """Exact 2^{-N} trace of a polynomial with 1/sqrt(N) per letter.
 
@@ -440,20 +442,13 @@ def normalized_trace(
     summation instead of exact rationals; the result is then labeled with
     ``float_path=True`` and ``exact`` holds the rounded value.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if (N + 1) * max(1, poly.degree()) > max_cells:
-        raise ResourceLimitError(
-            f"sector dimension {N + 1} x degree {poly.degree()} exceeds "
-            f"budget {max_cells}"
-        )
+    check_trace_budget(N, poly)
     grouped = _trace_word_sums(N, poly)
     if use_float:
         return _normalized_trace_float(N, grouped, digits)
 
-    exact = ComplexRational(0)
-    sqrt_n = ComplexRational(0)
     pow2 = 2**N
+    values = []
     for L, bucket in grouped.items():
         tot_re = Fraction(0)
         tot_im = Fraction(0)
@@ -466,16 +461,8 @@ def normalized_trace(
             if any(im_poly):
                 tot_im += d * _p1_eval(im_poly, tj)
         val = ComplexRational(Fraction(tot_re, pow2), Fraction(tot_im, pow2))
-        if L % 2 == 0:
-            exact = exact + val * Fraction(1, N ** (L // 2))
-        else:
-            sqrt_n = sqrt_n + val * Fraction(1, N ** ((L + 1) // 2))
-    return TraceResult(
-        n=N,
-        exact=exact,
-        sqrt_n=sqrt_n,
-        decimal=_render_decimal(N, exact, sqrt_n, digits),
-    )
+        values.append((L, val))
+    return _scaled_result(N, values, digits)
 
 
 def _normalized_trace_float(N: int, grouped, digits: int) -> TraceResult:
@@ -560,9 +547,8 @@ def dense_oracle_trace(
             f"explicitly if you can afford the 2^N x 2^N construction."
         )
     ops = _collective_ops(N)
-    exact = ComplexRational(0)
-    sqrt_n = ComplexRational(0)
     pow2 = 2**N
+    values = []
     for word, coeff in poly.terms.items():
         L = len(word)
         if L == 0:
@@ -576,14 +562,5 @@ def dense_oracle_trace(
                 tr = int(prod.multiply(mats[-1].T).sum())
             else:
                 tr = int(prod.diagonal().sum())
-        val = coeff * Fraction(tr, 2 ** word.count(Z) * pow2)
-        if L % 2 == 0:
-            exact = exact + val * Fraction(1, N ** (L // 2))
-        else:
-            sqrt_n = sqrt_n + val * Fraction(1, N ** ((L + 1) // 2))
-    return TraceResult(
-        n=N,
-        exact=exact,
-        sqrt_n=sqrt_n,
-        decimal=_render_decimal(N, exact, sqrt_n, digits),
-    )
+        values.append((L, coeff * Fraction(tr, 2 ** word.count(Z) * pow2)))
+    return _scaled_result(N, values, digits)

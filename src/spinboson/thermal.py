@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Tuple
+from typing import Tuple
 
 from . import moments
 from .boson import NormalForm
@@ -105,16 +105,11 @@ def _polylog_rational(k: int) -> Tuple[Tuple[int, ...], int]:
 def thermal_expect(state: ThermalState, form: NormalForm) -> ComplexRational:
     """Exact tr(rho * form) for a normally ordered form.
 
-    Number conservation kills every m != n term; diagonal terms use the
-    factorial-moment closed form tr(rho a+^n a^n) = n! nbar^n.
+    Number conservation kills every m != n term; diagonal terms give the
+    factorial moments tr(rho a+^n a^n) = n! nbar^n, the weight-1 case of
+    ``thermal_expect_weighted``.
     """
-    nbar = state.mean_occupation
-    total = ComplexRational(0)
-    for (m, n), c in form.terms.items():
-        if m != n:
-            continue
-        total = total + c * (math.factorial(n) * nbar**n)
-    return total
+    return thermal_expect_weighted(state, 1, form)
 
 
 def thermal_expect_weighted(
@@ -136,11 +131,9 @@ def thermal_expect_weighted(
     head = 1 - state.x
     total = ComplexRational(0)
     for (m, n), c in form.terms.items():
-        if m != n:
-            continue
-        total = total + c * (
-            head * math.factorial(m) * t**m / (1 - t) ** (m + 1)
-        )
+        if m == n:
+            term = head * math.factorial(m) * t**m / (1 - t) ** (m + 1)
+            total = total + c * term
     return total
 
 

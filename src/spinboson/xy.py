@@ -33,13 +33,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import spin_core, thermal
+from . import spin_core
 from .boson import NormalForm
 from .rationals import ComplexRational
 from .spin_core import SpinPolynomial, Z
 from .thermal import THEOREM_STATE
 
 DEFAULT_DIGITS = 50
+#: largest N the dense XY oracle diagonalizes (a 2^N x 2^N eigenproblem)
+DENSE_ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -109,76 +111,85 @@ def _require_valid(params: XYParams) -> None:
         )
 
 
-def spin_thermal_expectation(
-    params: XYParams,
-    N: int,
-    poly: SpinPolynomial,
-    digits: int = DEFAULT_DIGITS,
-    max_cells: int = spin_core.DEFAULT_MAX_CELLS,
-) -> float:
-    """Finite-N tr(exp(-beta H) poly) / tr(exp(-beta H)), H the XY model.
+def _fold_diagonals(N: int, poly: SpinPolynomial):
+    """The diagonal of ``poly`` at N sites as integer polynomials in (a, u).
 
-    The Boltzmann weights are scalars per (j, m) and are evaluated in
-    ``digits``-digit floating point; the polynomial part stays rational.
-    Valid for any parameters (the finite-N trace always exists).
+    Every word's diagonal polynomial, its coefficient and its letter scale
+    N^{-L/2} are summed exactly, one table for the rational and one for the
+    sqrt(N) part of the scale.  Returns (rows, denominator, radical) for
+    each nonzero table, rows[ku][ka] times the denominator being integers.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    degree = max(1, poly.degree())
-    if (N + 1) * degree > max_cells:
-        raise spin_core.ResourceLimitError(
-            f"sector dimension {N + 1} x degree {degree} exceeds budget {max_cells}"
-        )
-    diag_polys = []  # (length, diagonal polynomial, coefficient)
+    degree = poly.degree()
+    # tables[radical][ku][ka]: coefficient of a^ka u^ku
+    tables = [[[Fraction(0)] * (degree // 2 + 1) for _ in range(degree + 1)]
+              for _ in range(2)]
     for word, coeff in poly.terms.items():
         dp = spin_core._word_diag_poly(word)
         if dp is None:
             continue
         if not coeff.is_real:
             raise ValueError("thermal expectation requires real coefficients")
-        diag_polys.append((len(word), dp, coeff.re))
+        factor, radical = spin_core.letter_scale(N, len(word))
+        for (ka, ku), c in dp.items():
+            tables[radical][ku][ka] += coeff.re * factor * c
+    parts = []
+    for radical, rows in enumerate(tables):
+        if any(any(row) for row in rows):
+            lcd = math.lcm(*(c.denominator for row in rows for c in row))
+            parts.append(([[int(c * lcd) for c in row] for row in rows],
+                          lcd, radical))
+    return parts
 
+
+def spin_thermal_expectation(
+    params: XYParams,
+    N: int,
+    poly: SpinPolynomial,
+    digits: int = DEFAULT_DIGITS,
+) -> float:
+    """Finite-N tr(exp(-beta H) poly) / tr(exp(-beta H)), H the XY model.
+
+    The Boltzmann weights are scalars per (j, m) and are evaluated in
+    ``digits``-digit floating point; the polynomial part is summed exactly
+    per cell.  Valid for any parameters (the finite-N trace always exists).
+    """
+    spin_core.check_trace_budget(N, poly)
+    parts = _fold_diagonals(N, poly)
+    p1_eval = spin_core._p1_eval
     with mpmath.workdps(digits):
         g = mpmath.mpf(params.g.numerator) / params.g.denominator
-        num = mpmath.mpf(0)
         den = mpmath.mpf(0)
-        scale = {
-            L: mpmath.mpf(N) ** (-mpmath.mpf(L) / 2) for L, _, _ in diag_polys
-        }
+        sums = [mpmath.mpf(0) for _ in parts]
         for sector in spin_core.irrep_sectors(N):
             tj = sector.twice_j
             d = mpmath.mpf(sector.multiplicity)
             a = tj * (tj + 2)
+            # each table as a polynomial in u = 2m within this sector
+            u_polys = [[p1_eval(row, a) for row in rows] for rows, _, _ in parts]
             for tm in range(-tj, tj + 1, 2):
                 # H eigenvalue: (2 gamma / N)(j(j+1) - m^2) = g*kT*(a-tm^2)/(2N)
                 w = d * mpmath.exp(-g * (a - tm * tm) / (2 * N))
                 den += w
-                val = mpmath.mpf(0)
-                for L, dp, coeff in diag_polys:
-                    acc = Fraction(0)
-                    for (ka, ku), c in dp.items():
-                        acc += c * Fraction(a) ** ka * Fraction(tm) ** ku
-                    val += (
-                        scale[L]
-                        * mpmath.mpf(coeff.numerator)
-                        / coeff.denominator
-                        * mpmath.mpf(acc.numerator)
-                        / acc.denominator
-                    )
-                num += w * val
+                for i, q in enumerate(u_polys):
+                    sums[i] += w * p1_eval(q, tm)
+        num = mpmath.mpf(0)
+        for total, (_, lcd, radical) in zip(sums, parts):
+            num += total * (mpmath.sqrt(N) if radical else 1) / lcd
         return float(num / den)
 
 
 def spin_thermal_dense_oracle(
-    params: XYParams, N: int, poly: SpinPolynomial, cap: int = 12
+    params: XYParams, N: int, poly: SpinPolynomial
 ) -> float:
     """Dense tensor-product check of the finite-N thermal expectation.
 
     Builds the 2^N Hamiltonian, diagonalizes it, and traces against the
-    dense observable in binary64.
+    dense observable in binary64.  Refuses N above ``DENSE_ORACLE_CAP``.
     """
-    if N > cap:
-        raise spin_core.ResourceLimitError(f"dense XY oracle capped at N={cap}")
+    if N > DENSE_ORACLE_CAP:
+        raise spin_core.ResourceLimitError(
+            f"dense XY oracle capped at N={DENSE_ORACLE_CAP}"
+        )
     ops = spin_core._collective_ops(N)
     splus = ops[spin_core.PLUS].astype(float)
     sminus = ops[spin_core.MINUS].astype(float)
@@ -204,25 +215,20 @@ def boson_thermal_expectation(params: XYParams, form: NormalForm) -> Fraction:
     value m! (x / (1 - B x))^m.
     """
     _require_valid(params)
-    base = 1 - 2 * params.g
-    state = THEOREM_STATE
-    den = thermal.thermal_expect_weighted(state, base, NormalForm.identity())
-    num = ComplexRational(0)
+    x = THEOREM_STATE.x
+    ratio = x / (1 - (1 - 2 * params.g) * x)
+    total = ComplexRational(0)
     for (m, n), c in form.terms.items():
-        if m != n:
-            continue
-        raw = thermal.thermal_expect_weighted(state, base, NormalForm({(m, m): 1}))
-        num = num + c * raw / base**m
-    return (num / den).as_fraction()
+        if m == n:
+            total = total + c * (math.factorial(m) * ratio**m)
+    return total.as_fraction()
 
 
 def partition_function(params: XYParams) -> float:
     """Closed-form Z = r^{-1/2} / (1 - 1/r) with r = 3 / (1 - 2 gamma/kT)."""
     _require_valid(params)
-    r = 3 / (1 - 2 * params.g)
-    if r <= 1:
-        raise ValidityError(f"r = {r} <= 1: partition function diverges")
-    r = float(r)
+    # the bounds give 0 < 1 - 2 gamma/kT < 3, so r > 1 and the series converges
+    r = float(3 / (1 - 2 * params.g))
     return r**-0.5 / (1 - 1 / r)
 
 

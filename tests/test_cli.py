@@ -1,9 +1,12 @@
 import json
 import math
+import time
 
 import pytest
 
 from spinboson.cli import main
+from spinboson.parsing import parse_polynomial
+from spinboson.spin_core import check_trace_budget
 
 
 def run(capsys, *argv):
@@ -175,6 +178,39 @@ def test_power_budget_exits_before_expanding(capsys):
     assert code == 2 and "resource error" in err
     code, out, _ = run(capsys, "trace", "--expr", "(1 + Sz)^30", "--n", "4")
     assert code == 0
+
+
+def test_word_length_budget_exits_before_expanding(capsys):
+    for argv in (("--expr", "Sz^400", "--n", "10"),
+                 ("--expr", "Sz^20000", "--n", "10")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "trace", *argv)
+        assert code == 2 and "exceed the limit of 64" in err
+        assert time.perf_counter() - start < 1.0
+    # 64 letters is the limit itself: parsed and within the trace budget
+    poly = parse_polynomial("(S+*S-)^32")
+    assert poly.degree() == 64
+    check_trace_budget(10, poly)
+
+
+def test_xy_gamma_and_kt_from_config(tmp_path, capsys):
+    cfg = tmp_path / "xy.cfg"
+    cfg.write_text("gamma = 1\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "xy", "--kt", "4")
+    assert code == 0 and out.startswith("gamma=1 kT=4 g=1/4\n")
+    code, _, err = run(capsys, "xy", "--kt", "4")
+    assert code == 1 and "--gamma is required" in err
+
+
+def test_missing_config_and_unwritable_out_exit_1(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    code, _, err = run(capsys, "--config", str(missing), "trace", "--expr",
+                       "Sz", "--n", "4")
+    assert code == 1 and err.startswith("error:") and "absent.cfg" in err
+    out = tmp_path / "no_such_dir" / "out.txt"
+    code, _, err = run(capsys, "trace", "--expr", "Sz", "--n", "4",
+                       "--out", str(out))
+    assert code == 1 and err.startswith("error:") and "out.txt" in err
 
 
 def test_verify_json_report(capsys):

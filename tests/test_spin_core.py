@@ -130,7 +130,7 @@ def test_dense_oracle_cap():
 
 def test_trace_budget():
     with pytest.raises(ResourceLimitError):
-        normalized_trace(10**6, SpinPolynomial.s_x() ** 2, max_cells=10**4)
+        normalized_trace(10**8, SpinPolynomial.s_x() ** 2)
 
 
 def test_power_budget_rejects_before_expanding():

@@ -5,6 +5,7 @@ import pytest
 
 from spinboson.boson import NormalForm
 from spinboson.bridge import boson_image
+from spinboson.parsing import parse_polynomial
 from spinboson.spin_core import ResourceLimitError, SpinPolynomial
 from spinboson.thermal import THEOREM_STATE, thermal_expect_weighted
 from spinboson.xy import (
@@ -131,10 +132,21 @@ def test_spin_thermal_against_dense_oracle():
         spin_thermal_dense_oracle(params, 13, poly)
 
 
+@pytest.mark.parametrize("gamma, kT", [(1, 4), (-1, 3)])
+def test_spin_thermal_mixed_word_lengths_against_dense_oracle(gamma, kT):
+    # lengths 1 to 4, odd ones included, each with its own N^{-L/2} scale
+    params = XYParams(Fraction(gamma), Fraction(kT))
+    poly = parse_polynomial("S+*S- + Sz*S+*S- + 2*S-*S-*S+*S+ + (1/3)*Sz")
+    for N in (4, 7, 10):
+        fast = spin_thermal_expectation(params, N, poly)
+        dense = spin_thermal_dense_oracle(params, N, poly)
+        assert fast == pytest.approx(dense, rel=1e-12)
+
+
 def test_spin_thermal_resource_budget():
     params = XYParams(Fraction(1), Fraction(4))
     with pytest.raises(ResourceLimitError):
-        spin_thermal_expectation(params, 10**7, _number_op(), max_cells=10**4)
+        spin_thermal_expectation(params, 10**8, _number_op())
 
 
 def test_mapped_function_two_route_consistency():
