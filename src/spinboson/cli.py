@@ -233,10 +233,14 @@ def _cmd_xy(args) -> None:
         )
         lines.append(f"<f>_spin(N={n}) = {row['expectation_spin']:.10g}")
         if report.passed:
-            row["expectation_boson"] = float(
-                xy.boson_thermal_expectation(params, bridge.boson_image(poly))
-            )
-            lines.append(f"<f>_boson = {row['expectation_boson']:.10g}")
+            try:
+                form = bridge.boson_image(poly)
+            except ValueError as exc:  # Sz letters have no boson image
+                lines.append(f"<f>_boson: none ({exc})")
+            else:
+                row["expectation_boson"] = float(
+                    xy.boson_thermal_expectation(params, form))
+                lines.append(f"<f>_boson = {row['expectation_boson']:.10g}")
     _emit(
         args,
         {"command": "xy",
@@ -304,7 +308,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -10,11 +10,13 @@ so the normalized trace of a word of length L is
 The per-sector trace is evaluated symbolically: a word traces a closed walk
 on the magnetic quantum numbers, every ladder edge is crossed an even number
 of times, and the diagonal matrix element is therefore a polynomial in
-j(j+1) and m with rational coefficients.  Summing that polynomial over m
-(Faulhaber sums) gives a single polynomial in 2j per word, so the full trace
-costs O(N) exact operations regardless of how large N is.  A dense
-tensor-product oracle over the 2^N space provides an independent check for
-small N.
+j(j+1) and m with rational coefficients.  ``fold_diagonals`` sums these
+polynomials, with their coefficients and letter scales, into exact integer
+tables, and ``sector_sums`` sums a table against a weight over every (j, m)
+cell in one pass over the sectors, from running sums of the even powers of
+m.  The exact trace, its binary64 variant and the XY thermal expectation
+differ only in that weight.  A dense tensor-product oracle over the 2^N
+space provides an independent check for small N.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ class IrrepSpec:
 
 
 def irrep_multiplicity(N: int, twice_j: int) -> int:
-    """Multiplicity d(N, j) = C(N, N/2 - j) - C(N, N/2 - j - 1)."""
+    """Multiplicity d(N, j) = C(N, k) - C(N, k - 1) = C(N, k)(2j + 1)/(N - k + 1),
+    with k = N/2 - j."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if twice_j < 0 or twice_j > N or (N - twice_j) % 2 != 0:
@@ -214,8 +217,7 @@ def irrep_multiplicity(N: int, twice_j: int) -> int:
             f"and twice_j congruent to N mod 2"
         )
     k = (N - twice_j) // 2
-    lower = math.comb(N, k - 1) if k >= 1 else 0
-    return math.comb(N, k) - lower
+    return math.comb(N, k) * (twice_j + 1) // (N - k + 1)
 
 
 def irrep_sectors(N: int) -> Iterator[IrrepSpec]:
@@ -228,8 +230,7 @@ def irrep_sectors(N: int) -> Iterator[IrrepSpec]:
 # Symbolic per-word trace machinery
 #
 # Variables: a = 2j(2j+2) (so j(j+1) = a/4) and u = 2m.  A word's diagonal
-# matrix element is a polynomial in (a, u); the sector trace follows from
-# power sums of u over -2j..2j, which are themselves polynomials in 2j.
+# matrix element is a polynomial in (a, u) with rational coefficients.
 # ---------------------------------------------------------------------------
 
 _Poly2 = Dict[Tuple[int, int], Fraction]
@@ -290,67 +291,81 @@ def _word_diag_poly(word: SpinWord) -> _Poly2 | None:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _faulhaber(r: int) -> Tuple[Fraction, ...]:
-    """Coefficients of sum_{i=1}^{n} i^r as a polynomial in n."""
-    coeffs = [Fraction(math.comb(r + 1, t)) for t in range(r + 2)]
-    coeffs[0] -= 1
-    for s in range(r):
-        for t, c in enumerate(_faulhaber(s)):
-            coeffs[t] -= math.comb(r + 1, s) * c
-    return tuple(c / (r + 1) for c in coeffs)
-
-
-@lru_cache(maxsize=None)
-def _power_sum_poly(k: int) -> Tuple[Fraction, ...]:
-    """Coefficients of sum_{u=-tj..tj step 2} u^k as a polynomial in tj."""
-    out = [Fraction(0)] * (k + 2)
-    for r in range(k + 1):
-        fr = list(_faulhaber(r))
-        if r == 0:
-            fr[0] += 1  # include the i = 0 term
-        pre = Fraction(math.comb(k, r) * 2**r * (-1) ** (k - r))
-        for t, c in enumerate(fr):
-            out[k - r + t] += pre * c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _p1_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
-def _p1_add_into(acc: list, term: Sequence[Fraction], scale: Fraction) -> list:
-    if len(term) > len(acc):
-        acc = acc + [Fraction(0)] * (len(term) - len(acc))
-    for i, c in enumerate(term):
-        acc[i] += scale * c
-    return acc
-
-
-def _sector_trace_poly(diag: _Poly2) -> list:
-    """Per-sector trace of a word as a polynomial in tj = 2j."""
-    out = [Fraction(0)]
-    for (ka, ku), c in diag.items():
-        a_poly = [Fraction(1)]
-        for _ in range(ka):  # a = tj^2 + 2 tj
-            a_poly = _p1_mul(a_poly, [Fraction(0), Fraction(2), Fraction(1)])
-        term = _p1_mul(a_poly, list(_power_sum_poly(ku)))
-        out = _p1_add_into(out, term, c)
-    return out
-
-
 def _p1_eval(coeffs: Sequence, x):
-    # an int start keeps one evaluator for Fraction and binary64 coefficients
+    # an int start keeps one evaluator for int, binary64 and mpf values
     v = 0
     for c in reversed(coeffs):
         v = v * x + c
     return v
+
+
+def letter_scale(N: int, L: int) -> Tuple[Fraction, bool]:
+    """N^{-L/2} as a rational factor and whether sqrt(N) multiplies it."""
+    return Fraction(1, N ** ((L + 1) // 2)), L % 2 == 1
+
+
+def fold_diagonals(N: int, poly: SpinPolynomial):
+    """The diagonal of ``poly`` at N sites as integer tables in (a, u).
+
+    Every word's diagonal polynomial, its coefficient and its letter scale
+    N^{-L/2} are summed exactly, one table for each combination of a
+    rational or sqrt(N) scale and a real or imaginary coefficient part.
+    Returns (rows, denominator, radical, imaginary) for each nonzero table;
+    rows[ku][ka] / denominator is the coefficient of a^ka u^ku.
+    """
+    degree = poly.degree()
+    tables = {}
+    for word, coeff in poly.terms.items():
+        dp = _word_diag_poly(word)
+        if dp is None:
+            continue
+        factor, radical = letter_scale(N, len(word))
+        for imaginary, part in enumerate((coeff.re, coeff.im)):
+            if not part:
+                continue
+            rows = tables.setdefault(
+                (radical, imaginary),
+                [[Fraction(0)] * (degree // 2 + 1) for _ in range(degree + 1)])
+            for (ka, ku), c in dp.items():
+                rows[ku][ka] += part * factor * c
+    out = []
+    for (radical, imaginary), rows in sorted(tables.items()):
+        if any(any(row) for row in rows):
+            lcd = math.lcm(*(c.denominator for row in rows for c in row))
+            out.append(([[int(c * lcd) for c in row] for row in rows],
+                        lcd, radical, imaginary))
+    return out
+
+
+#: the table of the identity operator, appended to a sector sum to normalize it
+IDENTITY_TABLE = [[1]]
+
+
+def sector_sums(N: int, tables, weights, rho) -> list:
+    """Sum w_j rho(u) T(a, u) over the cells (j, m) of N sites, per table T.
+
+    Tables hold T as rows[ku][ka], the coefficient of a^ka u^ku, with
+    a = 2j(2j + 2) and u = 2m.  ``weights`` yields w_j for 2j = N mod 2,
+    N mod 2 + 2, ...; the sum stops where it ends.  ``rho`` must be even in
+    u, so the odd powers of u cancel over u = -2j..2j and the even ones come
+    from running sums of rho(u) u^k over the sectors.  The arithmetic is that
+    of the tables, weights and rho: int, binary64 or mpf.
+    """
+    evens = [rows[::2] for rows in tables]
+    # moments[i]: sum of rho(u) u^(2i) over |u| <= 2j
+    moments = [0] * max(len(rows) for rows in evens)
+    totals = [0] * len(tables)
+    for tj, w in zip(range(N % 2, N + 1, 2), weights):
+        term = rho(tj) if tj == 0 else 2 * rho(tj)
+        uu = tj * tj
+        for i in range(len(moments)):
+            moments[i] += term
+            term *= uu
+        a = tj * (tj + 2)
+        for t, rows in enumerate(evens):
+            totals[t] += w * sum(_p1_eval(row, a) * m
+                                 for row, m in zip(rows, moments))
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -400,36 +415,6 @@ def _render_decimal(result_n: int, exact: ComplexRational,
     return f"{re}{sign}{abs(im)}i"
 
 
-def letter_scale(N: int, L: int) -> Tuple[Fraction, bool]:
-    """N^{-L/2} as a rational factor and whether sqrt(N) multiplies it."""
-    return Fraction(1, N ** ((L + 1) // 2)), L % 2 == 1
-
-
-def _scaled_result(N: int, values, digits: int) -> TraceResult:
-    """TraceResult of the sum of val * N^{-L/2} over (L, val) pairs."""
-    parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
-    for L, val in values:
-        factor, radical = letter_scale(N, L)
-        parts[radical] = parts[radical] + val * factor
-    exact, sqrt_n = parts
-    return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))
-
-
-def _trace_word_sums(N: int, poly: SpinPolynomial):
-    """Group words by length and return {L: summed trace polynomial in tj}."""
-    grouped: Dict[int, Dict[str, list]] = {}
-    for word, coeff in poly.terms.items():
-        diag = _word_diag_poly(word)
-        if diag is None:
-            continue
-        tr_poly = _sector_trace_poly(diag)
-        L = len(word)
-        bucket = grouped.setdefault(L, {"re": [Fraction(0)], "im": [Fraction(0)]})
-        bucket["re"] = _p1_add_into(bucket["re"], tr_poly, coeff.re)
-        bucket["im"] = _p1_add_into(bucket["im"], tr_poly, coeff.im)
-    return grouped
-
-
 def normalized_trace(
     N: int,
     poly: SpinPolynomial,
@@ -438,61 +423,52 @@ def normalized_trace(
 ) -> TraceResult:
     """Exact 2^{-N} trace of a polynomial with 1/sqrt(N) per letter.
 
-    Set ``use_float`` to evaluate the sector sum in binary64 with compensated
-    summation instead of exact rationals; the result is then labeled with
-    ``float_path=True`` and ``exact`` holds the rounded value.
+    Set ``use_float`` to evaluate the sector sum in binary64 instead of exact
+    integers; the result is then labeled with ``float_path=True`` and
+    ``exact`` holds the rounded value.
     """
     check_trace_budget(N, poly)
-    grouped = _trace_word_sums(N, poly)
+    tables = fold_diagonals(N, poly)
     if use_float:
-        return _normalized_trace_float(N, grouped, digits)
-
-    pow2 = 2**N
-    values = []
-    for L, bucket in grouped.items():
-        tot_re = Fraction(0)
-        tot_im = Fraction(0)
-        re_poly, im_poly = bucket["re"], bucket["im"]
-        for sector in irrep_sectors(N):
-            tj = sector.twice_j
-            d = sector.multiplicity
-            if any(re_poly):
-                tot_re += d * _p1_eval(re_poly, tj)
-            if any(im_poly):
-                tot_im += d * _p1_eval(im_poly, tj)
-        val = ComplexRational(Fraction(tot_re, pow2), Fraction(tot_im, pow2))
-        values.append((L, val))
-    return _scaled_result(N, values, digits)
+        return _normalized_trace_float(N, tables, digits)
+    *sums, total = sector_sums(
+        N, [rows for rows, *_ in tables] + [IDENTITY_TABLE],
+        (s.multiplicity for s in irrep_sectors(N)), lambda u: 1)
+    parts = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
+    for (_, lcd, radical, imaginary), s in zip(tables, sums):
+        parts[radical][imaginary] = Fraction(s, lcd * total)
+    exact, sqrt_n = (ComplexRational(*p) for p in parts)
+    return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))
 
 
-def _normalized_trace_float(N: int, grouped, digits: int) -> TraceResult:
-    ln2 = math.log(2.0)
-    # scaled multiplicity d(N, j) / 2^N via log-gamma, safe for any N
-    def log_mult(tj):
-        k = (N - tj) // 2
-        lc = math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
-        if k >= 1:
-            lc1 = math.lgamma(N + 1) - math.lgamma(k) - math.lgamma(N - k + 2)
-            # d = C(N,k) - C(N,k-1); combine in linear space relative to lc
-            return lc + math.log1p(-math.exp(lc1 - lc))
-        return lc
+def _float_weights(N: int) -> Iterator[float]:
+    """d(N, j) / 2^N in binary64, smallest j first, until one is 0.0.
 
-    total = complex(0.0)
-    for L, bucket in grouped.items():
-        re_poly = [float(c) for c in bucket["re"]]
-        im_poly = [float(c) for c in bucket["im"]]
-        acc = complex(0.0)
-        comp = complex(0.0)  # Kahan compensation
-        for tj in range(N % 2, N + 1, 2):
-            w = math.exp(log_mult(tj) - N * ln2)
-            term = w * complex(_p1_eval(re_poly, tj), _p1_eval(im_poly, tj))
-            y = term - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-        scale = N ** (-(L / 2.0))
-        total += acc * scale
-    exact = ComplexRational(Fraction(total.real), Fraction(total.imag))
+    One log-gamma value at k = N // 2, then the log of the ratio
+    C(N, k - 1) / C(N, k) = k / (N - k + 1) per sector, with k = N/2 - j and
+    d = C(N, k)(2j + 1)/(N - k + 1).  C(N, k) only falls as k leaves N/2, so
+    every later weight would be 0.0 too.
+    """
+    k0 = N // 2
+    log_c = (math.lgamma(N + 1) - math.lgamma(k0 + 1) - math.lgamma(N - k0 + 1)
+             - N * math.log(2))
+    for k in range(k0, -1, -1):
+        w = math.exp(log_c) * (N - 2 * k + 1) / (N - k + 1)
+        if w == 0.0:
+            return
+        yield w
+        if k:
+            log_c += math.log1p((2 * k - N - 1) / (N - k + 1))
+
+
+def _normalized_trace_float(N: int, tables, digits: int) -> TraceResult:
+    rows = [[[c / lcd for c in row] for row in r] for r, lcd, _, _ in tables]
+    *sums, total = sector_sums(N, rows + [IDENTITY_TABLE], _float_weights(N),
+                               lambda u: 1.0)
+    value = complex(0.0)
+    for (_, _, radical, imaginary), s in zip(tables, sums):
+        value += s / total * (math.sqrt(N) if radical else 1) * (1j if imaginary else 1)
+    exact = ComplexRational(Fraction(value.real), Fraction(value.imag))
     return TraceResult(
         n=N,
         exact=exact,
@@ -548,7 +524,7 @@ def dense_oracle_trace(
         )
     ops = _collective_ops(N)
     pow2 = 2**N
-    values = []
+    parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
     for word, coeff in poly.terms.items():
         L = len(word)
         if L == 0:
@@ -562,5 +538,7 @@ def dense_oracle_trace(
                 tr = int(prod.multiply(mats[-1].T).sum())
             else:
                 tr = int(prod.diagonal().sum())
-        values.append((L, coeff * Fraction(tr, 2 ** word.count(Z) * pow2)))
-    return _scaled_result(N, values, digits)
+        factor, radical = letter_scale(N, L)
+        parts[radical] += coeff * (factor * Fraction(tr, 2 ** word.count(Z) * pow2))
+    exact, sqrt_n = parts
+    return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))

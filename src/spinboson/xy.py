@@ -111,36 +111,6 @@ def _require_valid(params: XYParams) -> None:
         )
 
 
-def _fold_diagonals(N: int, poly: SpinPolynomial):
-    """The diagonal of ``poly`` at N sites as integer polynomials in (a, u).
-
-    Every word's diagonal polynomial, its coefficient and its letter scale
-    N^{-L/2} are summed exactly, one table for the rational and one for the
-    sqrt(N) part of the scale.  Returns (rows, denominator, radical) for
-    each nonzero table, rows[ku][ka] times the denominator being integers.
-    """
-    degree = poly.degree()
-    # tables[radical][ku][ka]: coefficient of a^ka u^ku
-    tables = [[[Fraction(0)] * (degree // 2 + 1) for _ in range(degree + 1)]
-              for _ in range(2)]
-    for word, coeff in poly.terms.items():
-        dp = spin_core._word_diag_poly(word)
-        if dp is None:
-            continue
-        if not coeff.is_real:
-            raise ValueError("thermal expectation requires real coefficients")
-        factor, radical = spin_core.letter_scale(N, len(word))
-        for (ka, ku), c in dp.items():
-            tables[radical][ku][ka] += coeff.re * factor * c
-    parts = []
-    for radical, rows in enumerate(tables):
-        if any(any(row) for row in rows):
-            lcd = math.lcm(*(c.denominator for row in rows for c in row))
-            parts.append(([[int(c * lcd) for c in row] for row in rows],
-                          lcd, radical))
-    return parts
-
-
 def spin_thermal_expectation(
     params: XYParams,
     N: int,
@@ -149,33 +119,28 @@ def spin_thermal_expectation(
 ) -> float:
     """Finite-N tr(exp(-beta H) poly) / tr(exp(-beta H)), H the XY model.
 
-    The Boltzmann weights are scalars per (j, m) and are evaluated in
-    ``digits``-digit floating point; the polynomial part is summed exactly
-    per cell.  Valid for any parameters (the finite-N trace always exists).
+    The H eigenvalue (2 gamma / N)(j(j+1) - m^2) makes the Boltzmann weight
+    of a cell exp(-g a / 2N) exp(g u^2 / 2N), with a = 2j(2j + 2), u = 2m and
+    g = gamma / kT: one sector weight and one even factor in u, evaluated in
+    ``digits``-digit floating point against the exact diagonal tables.  Valid
+    for any parameters (the finite-N trace always exists).
     """
     spin_core.check_trace_budget(N, poly)
-    parts = _fold_diagonals(N, poly)
-    p1_eval = spin_core._p1_eval
+    tables = spin_core.fold_diagonals(N, poly)
+    if any(imaginary for *_, imaginary in tables):
+        raise ValueError("thermal expectation requires real coefficients")
     with mpmath.workdps(digits):
         g = mpmath.mpf(params.g.numerator) / params.g.denominator
-        den = mpmath.mpf(0)
-        sums = [mpmath.mpf(0) for _ in parts]
-        for sector in spin_core.irrep_sectors(N):
-            tj = sector.twice_j
-            d = mpmath.mpf(sector.multiplicity)
-            a = tj * (tj + 2)
-            # each table as a polynomial in u = 2m within this sector
-            u_polys = [[p1_eval(row, a) for row in rows] for rows, _, _ in parts]
-            for tm in range(-tj, tj + 1, 2):
-                # H eigenvalue: (2 gamma / N)(j(j+1) - m^2) = g*kT*(a-tm^2)/(2N)
-                w = d * mpmath.exp(-g * (a - tm * tm) / (2 * N))
-                den += w
-                for i, q in enumerate(u_polys):
-                    sums[i] += w * p1_eval(q, tm)
+        weights = (s.multiplicity * mpmath.exp(-g * s.twice_j * (s.twice_j + 2)
+                                               / (2 * N))
+                   for s in spin_core.irrep_sectors(N))
+        *sums, total = spin_core.sector_sums(
+            N, [rows for rows, *_ in tables] + [spin_core.IDENTITY_TABLE],
+            weights, lambda u: mpmath.exp(g * u * u / (2 * N)))
         num = mpmath.mpf(0)
-        for total, (_, lcd, radical) in zip(sums, parts):
-            num += total * (mpmath.sqrt(N) if radical else 1) / lcd
-        return float(num / den)
+        for s, (_, lcd, radical, _) in zip(sums, tables):
+            num += s * (mpmath.sqrt(N) if radical else 1) / lcd
+        return float(num / total)
 
 
 def spin_thermal_dense_oracle(

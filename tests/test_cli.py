@@ -193,6 +193,25 @@ def test_word_length_budget_exits_before_expanding(capsys):
     check_trace_budget(10, poly)
 
 
+def test_float_overflow_exits_1(capsys):
+    # the coefficient 10^360 / N has no binary64 value
+    code, out, err = run(capsys, "trace", "--float", "--expr",
+                         "1000000^60*Sz^2", "--n", "1000")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_xy_sz_observable_reports_spin_side(capsys):
+    argv = ("xy", "--gamma", "1", "--kt", "4",
+            "--expr", "Sz*S+*S- + S+*S-", "--n", "200")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "<f>_spin(N=200) = " in out and "<f>_boson: none (" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    (row,) = json.loads(out)["results"]
+    assert code == 0 and row["valid"] is True
+    assert math.isfinite(row["expectation_spin"]) and row["expectation_boson"] is None
+
+
 def test_xy_gamma_and_kt_from_config(tmp_path, capsys):
     cfg = tmp_path / "xy.cfg"
     cfg.write_text("gamma = 1\n")

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
 from spinboson.spin_core import (
     MINUS,
@@ -149,6 +151,25 @@ def test_float_path_is_labeled_and_close():
     approx = normalized_trace(200, poly, use_float=True)
     assert approx.float_path and "(float)" in approx.decimal
     assert float(approx.exact.re) == pytest.approx(float(exact.exact.re), rel=1e-12)
+
+
+@pytest.mark.parametrize("expr, closed_form", [
+    # (S+ + S-)^4 = (2 Sx)^4 has the moments of a sum of N signs: 3N^2 - 2N
+    ("(S+ + S-)^4", lambda N: 3 - Fraction(2, N)),
+    ("Sz^4", lambda N: Fraction(3, 16) - Fraction(1, 8 * N)),
+])
+def test_float_path_against_closed_forms_at_large_n(expr, closed_form):
+    N = 950_001
+    approx = normalized_trace(N, parse_polynomial(expr), use_float=True)
+    assert float(approx.exact.re) == pytest.approx(float(closed_form(N)), rel=1e-12)
+
+
+def test_float_path_high_power_at_large_n_is_finite():
+    # u^64 overflows binary64 in the outer sectors, whose weights are 0.0
+    approx = normalized_trace(950_000, parse_polynomial("Sz^64"), use_float=True)
+    gaussian = math.prod(range(1, 64, 2)) / 2**64  # E[X^64], X ~ N(0, 1/4)
+    assert math.isfinite(float(approx.exact.re))
+    assert float(approx.exact.re) == pytest.approx(gaussian, rel=1e-3)
 
 
 def test_decimal_rendering_faithful():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from spinboson.boson import NormalForm
@@ -141,6 +142,46 @@ def test_spin_thermal_mixed_word_lengths_against_dense_oracle(gamma, kT):
         fast = spin_thermal_expectation(params, N, poly)
         dense = spin_thermal_dense_oracle(params, N, poly)
         assert fast == pytest.approx(dense, rel=1e-12)
+
+
+def _cell_diagonal(word, tj, tm):
+    """<j, m| word |j, m> with 2j = tj, 2m = tm, letters applied right to left."""
+    jj = tj * (tj + 2) / 4  # j(j + 1)
+    m = tm / 2
+    amp = 1.0
+    for ch in reversed(word):
+        if ch == "z":
+            amp *= m
+        elif ch == "+":
+            amp *= math.sqrt(max(jj - m * (m + 1), 0))
+            m += 1
+        else:
+            amp *= math.sqrt(max(jj - m * (m - 1), 0))
+            m -= 1
+    return amp if 2 * m == tm else 0.0
+
+
+@pytest.mark.parametrize("gamma, kT, N", [(4, 9, 300), (-4, 5, 301)])
+def test_spin_thermal_against_per_cell_sum(gamma, kT, N):
+    # every (j, m) cell with its own Boltzmann weight exp(-E / kT),
+    # E = (2 gamma / N)(j(j + 1) - m^2), and its own diagonal element
+    words = {("+", "-"): 1, ("-", "+"): 1, ("-", "-", "+", "+"): 2,
+             ("z", "+", "-"): Fraction(1, 3)}
+    poly = SpinPolynomial(dict(words))
+    num = den = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        g = mpmath.mpf(gamma) / kT
+        for tj in range(N % 2, N + 1, 2):
+            k = (N - tj) // 2
+            d = math.comb(N, k) - (math.comb(N, k - 1) if k else 0)
+            for tm in range(-tj, tj + 1, 2):
+                w = d * mpmath.exp(-2 * g * (tj * (tj + 2) - tm * tm) / (4 * N))
+                den += w
+                num += w * sum(float(c) * _cell_diagonal(word, tj, tm) / N ** (len(word) / 2)
+                               for word, c in words.items())
+        want = float(num / den)
+    got = spin_thermal_expectation(XYParams(Fraction(gamma), Fraction(kT)), N, poly)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_spin_thermal_resource_budget():
