@@ -9,6 +9,7 @@ with the same letter content but different orderings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -111,30 +112,6 @@ def _convergence_report(
     )
 
 
-def _distinct_orderings(word):
-    """Distinct permutations of a letter multiset, generated recursively."""
-    counts: Dict[str, int] = {}
-    for ch in word:
-        counts[ch] = counts.get(ch, 0) + 1
-    out: List[tuple] = []
-    prefix: List[str] = []
-
-    def rec():
-        if len(prefix) == len(word):
-            out.append(tuple(prefix))
-            return
-        for ch in sorted(counts):
-            if counts[ch]:
-                counts[ch] -= 1
-                prefix.append(ch)
-                rec()
-                prefix.pop()
-                counts[ch] += 1
-
-    rec()
-    return out
-
-
 def ordering_sensitivity(poly: SpinPolynomial, N: int) -> float:
     """Largest trace spread among reorderings of any term's letters.
 
@@ -149,7 +126,7 @@ def ordering_sensitivity(poly: SpinPolynomial, N: int) -> float:
                 f"{MAX_ORDERING_LETTERS}"
             )
         values = []
-        for variant in _distinct_orderings(word):
+        for variant in sorted(set(itertools.permutations(word))):
             res = spin_core.normalized_trace(
                 N, SpinPolynomial({variant: coeff})
             )

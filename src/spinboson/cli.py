@@ -99,7 +99,7 @@ def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
 def _n_values(args) -> list:
     if getattr(args, "n_list", None):
         return [int(v) for v in args.n_list.split(",")]
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         return [args.n]
     raise ValueError("provide --n or --n-list")
 
@@ -225,7 +225,7 @@ def _cmd_xy(args) -> None:
         if params.gamma != 0:
             row["T_eff"] = xy.effective_temperature(params)
             lines.append(f"T_eff = {row['T_eff']:.6g}")
-    if args.expr and (args.n or args.n_list):
+    if args.expr and (args.n is not None or args.n_list):
         poly = parse_polynomial(args.expr)
         n = _n_values(args)[-1]
         row["expectation_spin"] = xy.spin_thermal_expectation(
@@ -304,6 +304,8 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
+        if args.digits < 1:
+            raise ValueError("--digits must be >= 1")
         _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)

@@ -7,23 +7,23 @@ so the normalized trace of a word of length L is
 
     2^{-N} N^{-L/2} sum_j d(N, j) tr_j(word).
 
-The per-sector trace is evaluated symbolically: a word traces a closed walk
-on the magnetic quantum numbers, every ladder edge is crossed an even number
-of times, and the diagonal matrix element is therefore a polynomial in
-j(j+1) and m with rational coefficients.  ``fold_diagonals`` sums these
-polynomials, with their coefficients and letter scales, into exact integer
-tables, and ``sector_sums`` sums a table against a weight over every (j, m)
-cell in one pass over the sectors, from running sums of the even powers of
-m.  The exact trace, its binary64 variant and the XY thermal expectation
-differ only in that weight.  A dense tensor-product oracle over the 2^N
-space provides an independent check for small N.
+The per-sector trace is evaluated symbolically.  Diagonal matrix elements do
+not change under a diagonal similarity, so each word is walked in the
+Dyson-Maleev gauge (S+ with amplitude 1, S- with j(j+1) - m(m-1), Sz with m),
+where 2^L times the diagonal of a length-L word is a polynomial in
+a = 4j(j+1) and u = 2m with integer coefficients.  ``fold_diagonals`` sums
+these polynomials, with their coefficients and letter scales, into integer
+tables over one common denominator, and ``sector_sums`` sums a table against
+a weight over every (j, m) cell in one pass over the sectors, from running
+sums of the even powers of m.  The exact trace, its binary64 variant and the
+XY thermal expectation differ only in that weight.  A dense tensor-product
+oracle over the 2^N space provides an independent check for small N.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -229,66 +229,47 @@ def irrep_sectors(N: int) -> Iterator[IrrepSpec]:
 # ---------------------------------------------------------------------------
 # Symbolic per-word trace machinery
 #
-# Variables: a = 2j(2j+2) (so j(j+1) = a/4) and u = 2m.  A word's diagonal
-# matrix element is a polynomial in (a, u) with rational coefficients.
+# Variables: a = 2j(2j+2) (so j(j+1) = a/4) and u = 2m.  A diagonal similarity
+# leaves every diagonal matrix element of a word unchanged, so words are
+# walked in the Dyson-Maleev gauge, where S+ moves m up with amplitude 1,
+# S- moves it down with amplitude j(j+1) - m(m-1) = (a - u(u-2))/4 and Sz
+# multiplies by m = u/2.  Times 2^L, the diagonal of a length-L word is then
+# a polynomial in (a, u) with integer coefficients.
 # ---------------------------------------------------------------------------
 
-_Poly2 = Dict[Tuple[int, int], Fraction]
-
-
-def _p2_mul(p: _Poly2, q: _Poly2) -> _Poly2:
-    out: _Poly2 = {}
-    for (ka, ku), c in p.items():
-        for (la, lu), d in q.items():
-            key = (ka + la, ku + lu)
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return {k: c for k, c in out.items() if c}
-
-
-def _edge_factor(e: int) -> _Poly2:
-    # squared ladder amplitude across the edge whose lower end is u + e:
-    # (a - (u+e)(u+e+2)) / 4
-    return {
-        (1, 0): Fraction(1, 4),
-        (0, 2): Fraction(-1, 4),
-        (0, 1): Fraction(-(2 * e + 2), 4),
-        (0, 0): Fraction(-e * (e + 2), 4),
-    }
-
-
-def _z_factor(d: int) -> _Poly2:
-    # eigenvalue of Sz at offset d: (u + d) / 2
-    return {(0, 1): Fraction(1, 2), (0, 0): Fraction(d, 2)}
+_Poly2 = Dict[Tuple[int, int], int]
 
 
 def _word_diag_poly(word: SpinWord) -> _Poly2 | None:
-    """Diagonal matrix element of a word as a polynomial in (a, u).
+    """2^L times the diagonal element of a length-L word, a polynomial in (a, u).
 
     Returns None when the word changes m, i.e. the diagonal vanishes
-    identically.  Ladder radicals cancel in matched edge pairs, so the result
-    is an honest rational polynomial; sector-boundary truncation is automatic
-    because the edge factor vanishes at m = +-j.
+    identically.  The walk runs right to left at offset d from u; a walk that
+    leaves |m| <= j must step back down across m = +-j, where the S- amplitude
+    vanishes, so the polynomial is exact in every cell of every sector.
     """
+    if word.count(PLUS) != word.count(MINUS):
+        return None
     d = 0
-    edges: Counter = Counter()
-    poly: _Poly2 = {(0, 0): Fraction(1)}
+    poly: _Poly2 = {(0, 0): 1}
     for ch in reversed(word):
         if ch == PLUS:
-            edges[d] += 1
             d += 2
-        elif ch == MINUS:
-            edges[d - 2] += 1
+            continue
+        # (a power, u power, coefficient) of the factor
+        if ch == MINUS:  # a - (u+d)(u+d-2)
+            factor = ((1, 0, 1), (0, 2, -1), (0, 1, 2 - 2 * d), (0, 0, d * (2 - d)))
             d -= 2
-        else:
-            poly = _p2_mul(poly, _z_factor(d))
-    if d != 0:
-        return None
-    for e, cnt in edges.items():
-        # closed walk on a line: every edge is crossed an even number of times
-        factor = _edge_factor(e)
-        for _ in range(cnt // 2):
-            poly = _p2_mul(poly, factor)
-    return poly
+        else:  # u + d
+            factor = ((0, 1, 1), (0, 0, d))
+        out: _Poly2 = {}
+        for (ka, ku), c in poly.items():
+            for la, lu, f in factor:
+                if f:
+                    key = (ka + la, ku + lu)
+                    out[key] = out.get(key, 0) + c * f
+        poly = out
+    return {k: c for k, c in poly.items() if c}
 
 
 def _p1_eval(coeffs: Sequence, x):
@@ -299,9 +280,9 @@ def _p1_eval(coeffs: Sequence, x):
     return v
 
 
-def letter_scale(N: int, L: int) -> Tuple[Fraction, bool]:
-    """N^{-L/2} as a rational factor and whether sqrt(N) multiplies it."""
-    return Fraction(1, N ** ((L + 1) // 2)), L % 2 == 1
+def letter_scale(N: int, L: int) -> Tuple[int, bool]:
+    """N^{-L/2} as 1 / divisor, and whether sqrt(N) multiplies it."""
+    return N ** ((L + 1) // 2), L % 2 == 1
 
 
 def fold_diagonals(N: int, poly: SpinPolynomial):
@@ -309,32 +290,36 @@ def fold_diagonals(N: int, poly: SpinPolynomial):
 
     Every word's diagonal polynomial, its coefficient and its letter scale
     N^{-L/2} are summed exactly, one table for each combination of a
-    rational or sqrt(N) scale and a real or imaginary coefficient part.
-    Returns (rows, denominator, radical, imaginary) for each nonzero table;
-    rows[ku][ka] / denominator is the coefficient of a^ka u^ku.
+    rational or sqrt(N) scale and a real or imaginary coefficient part.  All
+    tables share the denominator 2^L N^{ceil(L/2)} lcm(coefficient
+    denominators), L the degree of ``poly``.  Returns (rows, denominator,
+    radical, imaginary) for each nonzero table; rows[ku][ka] / denominator is
+    the coefficient of a^ka u^ku.
     """
     degree = poly.degree()
+    lcd = math.lcm(*(part.denominator for c in poly.terms.values()
+                     for part in (c.re, c.im)))
+    top = letter_scale(N, degree)[0]
     tables = {}
     for word, coeff in poly.terms.items():
         dp = _word_diag_poly(word)
         if dp is None:
             continue
-        factor, radical = letter_scale(N, len(word))
+        divisor, radical = letter_scale(N, len(word))
+        scale = 2 ** (degree - len(word)) * (top // divisor)
         for imaginary, part in enumerate((coeff.re, coeff.im)):
             if not part:
                 continue
             rows = tables.setdefault(
                 (radical, imaginary),
-                [[Fraction(0)] * (degree // 2 + 1) for _ in range(degree + 1)])
+                [[0] * (degree // 2 + 1) for _ in range(degree + 1)])
+            factor = scale * part.numerator * (lcd // part.denominator)
             for (ka, ku), c in dp.items():
-                rows[ku][ka] += part * factor * c
-    out = []
-    for (radical, imaginary), rows in sorted(tables.items()):
-        if any(any(row) for row in rows):
-            lcd = math.lcm(*(c.denominator for row in rows for c in row))
-            out.append(([[int(c * lcd) for c in row] for row in rows],
-                        lcd, radical, imaginary))
-    return out
+                rows[ku][ka] += factor * c
+    denominator = 2 ** degree * top * lcd
+    return [(rows, denominator, radical, imaginary)
+            for (radical, imaginary), rows in sorted(tables.items())
+            if any(any(row) for row in rows)]
 
 
 #: the table of the identity operator, appended to a sector sum to normalize it
@@ -538,7 +523,7 @@ def dense_oracle_trace(
                 tr = int(prod.multiply(mats[-1].T).sum())
             else:
                 tr = int(prod.diagonal().sum())
-        factor, radical = letter_scale(N, L)
-        parts[radical] += coeff * (factor * Fraction(tr, 2 ** word.count(Z) * pow2))
+        divisor, radical = letter_scale(N, L)
+        parts[radical] += coeff * Fraction(tr, 2 ** word.count(Z) * pow2 * divisor)
     exact, sqrt_n = parts
     return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))

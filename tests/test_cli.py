@@ -263,3 +263,26 @@ def test_xy_json_row(capsys):
     )
     (row,) = json.loads(out)["results"]
     assert code == 0 and row["valid"] is False and row["Z"] is None
+
+
+def test_digits_below_1_rejected(tmp_path, capsys):
+    for argv in (("xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-",
+                  "--n", "10", "--digits", "-20"),
+                 ("trace", "--expr", "Sz^2", "--n", "4", "--digits", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: --digits must be >= 1\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = 0\n")
+    code, out, err = run(capsys, "--config", str(cfg), "trace", "--expr",
+                         "Sz^2", "--n", "4")
+    assert code == 1 and out == "" and err == "error: --digits must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("trace", "--expr", "S+*S-"),
+    ("xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-"),
+])
+def test_n_zero_is_out_of_range_not_absent(capsys, command):
+    code, out, err = run(capsys, *command, "--n", "0")
+    assert code == 1 and out == "" and err == "error: N must be >= 1\n"

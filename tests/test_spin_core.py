@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinboson.parsing import parse_polynomial
@@ -12,6 +14,7 @@ from spinboson.spin_core import (
     Z,
     ResourceLimitError,
     SpinPolynomial,
+    _word_diag_poly,
     dense_oracle_trace,
     irrep_multiplicity,
     irrep_sectors,
@@ -66,6 +69,39 @@ def test_odd_moments_vanish(alpha, ell):
     for N in (2, 5, 12):
         res = normalized_trace(N, op ** (2 * ell + 1))
         assert res.exact == 0 and res.sqrt_n == 0
+
+
+def _sector_matrices(twice_j):
+    """S+, S-, Sz on the sector 2j in the standard gauge, basis m = -j..j."""
+    j = twice_j / 2
+    ms = [-j + i for i in range(twice_j + 1)]
+    splus = np.zeros((twice_j + 1, twice_j + 1))
+    for i, m in enumerate(ms[:-1]):
+        splus[i + 1, i] = math.sqrt(j * (j + 1) - m * (m + 1))
+    return {PLUS: splus, MINUS: splus.T, Z: np.diag(ms)}
+
+
+def test_word_diag_poly_cell_by_cell():
+    """2^-L P(a, u) is the (m, m) element of the word in every cell."""
+    sectors = {tj: _sector_matrices(tj) for tj in range(7)}
+    for length in range(7):
+        for word in itertools.product((PLUS, MINUS, Z), repeat=length):
+            poly = _word_diag_poly(word)
+            if word.count(PLUS) != word.count(MINUS):
+                assert poly is None, word
+                continue
+            assert poly is not None, word
+            for tj, ops in sectors.items():
+                mat = np.eye(tj + 1)
+                for ch in word:
+                    mat = mat @ ops[ch]
+                a = tj * (tj + 2)
+                for i in range(tj + 1):
+                    u = 2 * i - tj
+                    value = sum(c * a**ka * u**ku
+                                for (ka, ku), c in poly.items()) / 2**length
+                    assert math.isclose(value, mat[i, i], rel_tol=1e-12,
+                                        abs_tol=1e-12), (word, tj, u)
 
 
 def _random_poly(rng, max_degree=6, max_terms=3):
