@@ -207,6 +207,11 @@ def _cmd_verify(args) -> None:
 def _cmd_xy(args) -> None:
     params = xy.XYParams(Fraction(_require(args, "gamma")),
                          Fraction(_require(args, "kt")))
+    n = None
+    if args.n is not None or args.n_list:
+        n, *rest = _n_values(args)
+        if rest:
+            raise ValueError("xy takes one N; give --n or a one-value --n-list")
     report = xy.validity_check(params)
     lines = [f"gamma={args.gamma} kT={args.kt} g={params.g}"]
     for name, ok in report.bounds:
@@ -225,9 +230,8 @@ def _cmd_xy(args) -> None:
         if params.gamma != 0:
             row["T_eff"] = xy.effective_temperature(params)
             lines.append(f"T_eff = {row['T_eff']:.6g}")
-    if args.expr and (args.n is not None or args.n_list):
+    if args.expr and n is not None:
         poly = parse_polynomial(args.expr)
-        n = _n_values(args)[-1]
         row["expectation_spin"] = xy.spin_thermal_expectation(
             params, n, poly, digits=min(args.digits + 10, 50)
         )
@@ -244,7 +248,8 @@ def _cmd_xy(args) -> None:
     _emit(
         args,
         {"command": "xy",
-         "inputs": {"gamma": args.gamma, "kt": args.kt, "expr": args.expr},
+         "inputs": {"gamma": args.gamma, "kt": args.kt, "expr": args.expr,
+                    "n": n},
          "results": [row]},
         "\n".join(lines),
         [row],

@@ -206,9 +206,21 @@ class IrrepSpec:
     multiplicity: int
 
 
+#: (N, k, C(N, k)) of the last multiplicity call.  Only one entry is kept (a
+#: per-N table would hold about 0.36 N^2 bits), and it is read and replaced as
+#: one tuple, so calls in any order, or from threads, stay exact.
+_last_binomial = (0, 0, 1)
+
+
 def irrep_multiplicity(N: int, twice_j: int) -> int:
     """Multiplicity d(N, j) = C(N, k) - C(N, k - 1) = C(N, k)(2j + 1)/(N - k + 1),
-    with k = N/2 - j."""
+    with k = N/2 - j.
+
+    A call for the same N at k one below the previous call, the order in which
+    ``irrep_sectors`` walks, steps C(N, k) = C(N, k + 1)(k + 1)/(N - k) from
+    the previous binomial; any other call computes ``math.comb(N, k)``.
+    """
+    global _last_binomial
     if N < 1:
         raise ValueError("N must be >= 1")
     if twice_j < 0 or twice_j > N or (N - twice_j) % 2 != 0:
@@ -217,7 +229,13 @@ def irrep_multiplicity(N: int, twice_j: int) -> int:
             f"and twice_j congruent to N mod 2"
         )
     k = (N - twice_j) // 2
-    return math.comb(N, k) * (twice_j + 1) // (N - k + 1)
+    last_n, last_k, last_c = _last_binomial
+    if last_n == N and last_k == k + 1:
+        c = last_c * (k + 1) // (N - k)
+    else:
+        c = math.comb(N, k)
+    _last_binomial = (N, k, c)
+    return c * (twice_j + 1) // (N - k + 1)
 
 
 def irrep_sectors(N: int) -> Iterator[IrrepSpec]:

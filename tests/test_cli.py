@@ -251,7 +251,10 @@ def test_xy_json_row(capsys):
         "--expr", "S+*S- + S-*S+", "--n", "64", "--format", "json",
     )
     assert code == 0
-    (row,) = json.loads(out)["results"]
+    payload = json.loads(out)
+    assert payload["inputs"] == {"gamma": "1", "kt": "4",
+                                 "expr": "S+*S- + S-*S+", "n": 64}
+    (row,) = payload["results"]
     assert row["valid"] is True
     assert row["Z"] == pytest.approx(6 ** -0.5 / (1 - 1 / 6))  # r = 6
     assert row["T_eff"] == pytest.approx(2 / math.log(6))
@@ -286,3 +289,15 @@ def test_digits_below_1_rejected(tmp_path, capsys):
 def test_n_zero_is_out_of_range_not_absent(capsys, command):
     code, out, err = run(capsys, *command, "--n", "0")
     assert code == 1 and out == "" and err == "error: N must be >= 1\n"
+
+
+def test_xy_takes_one_n(capsys):
+    xy_argv = ("xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S- + S-*S+")
+    code, out, err = run(capsys, *xy_argv, "--n-list", "16,64")
+    assert code == 1 and out == ""
+    assert err == "error: xy takes one N; give --n or a one-value --n-list\n"
+    code, out, _ = run(capsys, *xy_argv, "--n-list", "16", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["n"] == 16
+    assert payload["results"][0]["expectation_spin"] is not None

@@ -46,6 +46,51 @@ def test_multiplicity_domain_errors(N, twice_j):
         irrep_multiplicity(N, twice_j)
 
 
+def _comb_multiplicities(N, every=1):
+    """d(N, j) = C(N, k) - C(N, k - 1) for k = N//2 down to 0, smallest j first.
+
+    The binomials come from the ascending ratio C(N, k + 1) = C(N, k)(N - k)/(k + 1);
+    every ``every``-th one and the last must equal ``math.comb(N, k)``
+    (``math.comb`` at all 5001 k of N = 10 000 alone takes about 8 s).
+    """
+    row = [1]
+    for k in range(N // 2):
+        row.append(row[-1] * (N - k) // (k + 1))
+    for k in [*range(0, len(row), every), len(row) - 1]:
+        assert row[k] == math.comb(N, k)
+    return [row[k] - (row[k - 1] if k else 0) for k in reversed(range(len(row)))]
+
+
+def test_multiplicity_walk_matches_math_comb():
+    for N in [*range(1, 121), 3001, 10_000]:
+        expected = _comb_multiplicities(N, every=1 if N <= 3001 else 50)
+        assert [s.multiplicity for s in irrep_sectors(N)] == expected, N
+
+
+def test_multiplicity_out_of_walk_order():
+    expected = {(N, tj): d for N in (40, 41, 42)
+                for tj, d in zip(range(N % 2, N + 1, 2), _comb_multiplicities(N))}
+    walk = {N: [(N, tj) for tj in range(0, N + 1, 2)] for N in (40, 42)}
+    shuffled = list(expected)
+    random.Random(7).shuffle(shuffled)
+    orders = [
+        walk[40][::-1],  # largest j first
+        [(41, 3), (41, 3), (41, 5), (41, 5), (41, 7)],  # each call twice
+        # two N interleaved, the second one step further down in k
+        [c for pair in zip(walk[40], walk[42][1:]) for c in pair],
+        shuffled,
+    ]
+    for calls in orders:
+        assert [irrep_multiplicity(*c) for c in calls] == [expected[c] for c in calls]
+    # a call that raises leaves the walk intact
+    assert irrep_multiplicity(41, 1) == expected[41, 1]
+    for bad in ((41, 2), (41, 43), (0, 0)):
+        with pytest.raises(ValueError):
+            irrep_multiplicity(*bad)
+        assert irrep_multiplicity(41, 3) == expected[41, 3]
+        assert irrep_multiplicity(41, 1) == expected[41, 1]
+
+
 def test_trace_identity_and_empty():
     assert normalized_trace(7, SpinPolynomial.identity()).exact == 1
     res = normalized_trace(7, SpinPolynomial.zero())
@@ -189,11 +234,20 @@ def test_float_path_is_labeled_and_close():
     assert float(approx.exact.re) == pytest.approx(float(exact.exact.re), rel=1e-12)
 
 
-@pytest.mark.parametrize("expr, closed_form", [
+CLOSED_FORMS = [
     # (S+ + S-)^4 = (2 Sx)^4 has the moments of a sum of N signs: 3N^2 - 2N
     ("(S+ + S-)^4", lambda N: 3 - Fraction(2, N)),
     ("Sz^4", lambda N: Fraction(3, 16) - Fraction(1, 8 * N)),
-])
+]
+
+
+@pytest.mark.parametrize("N", [10_000, 10_001])
+@pytest.mark.parametrize("expr, closed_form", CLOSED_FORMS)
+def test_exact_closed_forms_at_large_n(expr, closed_form, N):
+    assert normalized_trace(N, parse_polynomial(expr)).exact == closed_form(N)
+
+
+@pytest.mark.parametrize("expr, closed_form", CLOSED_FORMS)
 def test_float_path_against_closed_forms_at_large_n(expr, closed_form):
     N = 950_001
     approx = normalized_trace(N, parse_polynomial(expr), use_float=True)
