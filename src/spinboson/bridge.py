@@ -2,21 +2,23 @@
 
 Connects the three representations of the same limit: exact spin traces at
 finite N, thermal-oscillator expectations at x = 1/3, and the complex
-Gaussian integral.  Also quantifies the one piece of information the symbol
-map deliberately discards, namely the O(1/N) difference between spin words
-with the same letter content but different orderings.
+Gaussian integral.  Every spin polynomial has one boson image: S+ and S-
+become the thermal mode, Sz the position of the sigma = 1/2 ground
+oscillator, which enters through its moments.  Also quantifies the one piece
+of information the symbol map deliberately discards, namely the O(1/N)
+difference between spin words with the same letter content but different
+orderings.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import spin_core, thermal
+from . import moments, spin_core, thermal
 from .boson import BosonSymbol, NormalForm, normal_order_symbol
 from .rationals import ComplexRational
 from .spin_core import MINUS, PLUS, Z, SpinPolynomial
@@ -60,21 +62,23 @@ def fit_decay_rate(n_values: Sequence[int], errors: Sequence[float]):
 
 
 def boson_image(poly: SpinPolynomial) -> NormalForm:
-    """Normal-ordered image of a raising/lowering polynomial.
+    """Normal-ordered image of a spin polynomial.
 
-    Each word maps to the commuting symbol z*^(#plus) z^(#minus); ordering
-    information is discarded (it is O(1/N)) and the symbol is then re-typed
-    with creation operators on the left.
+    A word with p S+, q S- and r Sz letters maps to <eta^r> z*^p z^q: S+ and
+    S- become the commuting symbols of the x = 1/3 thermal mode, and Sz the
+    position eta of the ground oscillator, a sigma = 1/2 Gaussian independent
+    of that mode in the limit, which leaves only its moment (zero for odd r).
+    Ordering information is discarded (it is O(1/N)) and the symbol is then
+    re-typed with creation operators on the left.
     """
     sym_terms: Dict = {}
     for word, coeff in poly.terms.items():
-        if Z in word:
-            raise ValueError(
-                "words containing Sz have no raising/lowering image; "
-                "use position_sector for functions of Sz"
-            )
+        r = word.count(Z)
+        if r % 2:
+            continue  # odd moments of eta vanish
         key = (word.count(PLUS), word.count(MINUS))
-        sym_terms[key] = sym_terms.get(key, ComplexRational(0)) + coeff
+        term = coeff * moments.limit_moment(r // 2)
+        sym_terms[key] = sym_terms.get(key, ComplexRational(0)) + term
     return normal_order_symbol(BosonSymbol(sym_terms))
 
 
@@ -83,32 +87,24 @@ def verify_theorem(
     n_values: Sequence[int],
     digits: int = 12,
 ) -> ConvergenceReport:
-    """Spin traces against the x = 1/3 thermal expectation of the image."""
-    form = boson_image(poly)
-    boson = thermal.thermal_expect(thermal.THEOREM_STATE, form)
+    """Spin traces at ascending N against the limit of the boson image.
+
+    The limit is the x = 1/3 thermal expectation of ``boson_image(poly)``;
+    any spin polynomial with a real limit is accepted.
+    """
+    boson = thermal.thermal_expect(thermal.THEOREM_STATE, boson_image(poly))
     if not boson.is_real:
         raise ValueError(f"boson-side value {boson} is not real")
-    return _convergence_report(poly, n_values, boson.re, digits)
-
-
-def _convergence_report(
-    poly: SpinPolynomial, n_values: Sequence[int], boson, digits: int
-) -> ConvergenceReport:
-    """Trace ``poly`` at each ascending N against the boson-side value."""
     n_values = list(n_values)
     if n_values != sorted(n_values):
         raise ValueError("N values must be ascending")
-    spin_vals = []
-    decimals = []
-    for n in n_values:
-        res = spin_core.normalized_trace(n, poly, digits=digits)
-        spin_vals.append(res.real())
-        decimals.append(res.decimal)
+    results = [spin_core.normalized_trace(n, poly, digits=digits)
+               for n in n_values]
     return ConvergenceReport(
         n_values=n_values,
-        spin_values=spin_vals,
-        boson_value=float(boson),
-        spin_decimals=decimals,
+        spin_values=[res.real() for res in results],
+        boson_value=float(boson.re),
+        spin_decimals=[res.decimal for res in results],
     )
 
 
@@ -146,10 +142,8 @@ def position_sector(
 ) -> ConvergenceReport:
     """Traces of f(Sz/sqrt(N)) against the ground-oscillator expectation.
 
-    ``f_coeffs`` are polynomial coefficients, lowest power first.
+    ``f_coeffs`` are polynomial coefficients, lowest power first; this is
+    ``verify_theorem`` of sum_k c_k Sz^k.
     """
     poly = SpinPolynomial({(Z,) * k: c for k, c in enumerate(f_coeffs)})
-    boson = thermal.ground_position_expectation(
-        [Fraction(c) for c in f_coeffs]
-    )
-    return _convergence_report(poly, n_values, boson, digits)
+    return verify_theorem(poly, n_values, digits)

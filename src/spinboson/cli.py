@@ -156,8 +156,14 @@ def _cmd_trace(args) -> None:
 
 
 def _cmd_moments(args) -> None:
-    if args.max_l < 0:
-        raise ValueError("--max-l must be >= 0")
+    # the largest l whose moment fits in binary64; moment l + 1 is (2l + 1)/4
+    # times moment l
+    top, moment = 0, Fraction(1)
+    while (moment := moment * (2 * top + 1) / 4) <= sys.float_info.max:
+        top += 1
+    if not 0 <= args.max_l <= top:
+        raise ValueError(f"--max-l must be from 0 to {top}; larger moments "
+                         "overflow a binary64 float")
     rows = []
     lines = ["l  moment (2l)!/(2^{3l} l!)"]
     for ell in range(args.max_l + 1):
@@ -232,19 +238,12 @@ def _cmd_xy(args) -> None:
             lines.append(f"T_eff = {row['T_eff']:.6g}")
     if args.expr and n is not None:
         poly = parse_polynomial(args.expr)
-        row["expectation_spin"] = xy.spin_thermal_expectation(
-            params, n, poly, digits=min(args.digits + 10, 50)
-        )
+        row["expectation_spin"] = xy.spin_thermal_expectation(params, n, poly)
         lines.append(f"<f>_spin(N={n}) = {row['expectation_spin']:.10g}")
         if report.passed:
-            try:
-                form = bridge.boson_image(poly)
-            except ValueError as exc:  # Sz letters have no boson image
-                lines.append(f"<f>_boson: none ({exc})")
-            else:
-                row["expectation_boson"] = float(
-                    xy.boson_thermal_expectation(params, form))
-                lines.append(f"<f>_boson = {row['expectation_boson']:.10g}")
+            row["expectation_boson"] = float(xy.boson_thermal_expectation(
+                params, bridge.boson_image(poly)))
+            lines.append(f"<f>_boson = {row['expectation_boson']:.10g}")
     _emit(
         args,
         {"command": "xy",

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Tuple, Union
 
-from scipy import integrate
-
 from .rationals import ComplexRational
 
 #: default absolute tolerance for adaptive quadrature
@@ -105,6 +103,8 @@ def gaussian_expectation(f: Integrand, tol: float = DEFAULT_QUAD_TOL):
     """
     if not callable(f):
         return _poly_moment(f)
+    from scipy import integrate
+
     law = GaussianLaw()
     half_width = float(_TAIL_SIGMAS) * 0.5
     val, err = integrate.quad(
@@ -135,6 +135,8 @@ def complex_gaussian_expectation(g, tol: float = DEFAULT_QUAD_TOL):
                 radial = Fraction(math.factorial(m), 2**m)
                 total = total + ComplexRational.coerce(coeff) * radial
         return total
+    from scipy import integrate
+
     max_r = float(_TAIL_SIGMAS) * 0.5
 
     def integrand(part):

@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rationals import CoefficientMap, ComplexRational
 
@@ -488,6 +487,8 @@ def _normalized_trace_float(N: int, tables, digits: int) -> TraceResult:
 @lru_cache(maxsize=16)
 def _collective_ops(N: int):
     """Sparse integer collective operators S+, S-, 2*Sz on the 2^N space."""
+    import scipy.sparse as sp
+
     sp_site = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=np.int64))
     sm_site = sp_site.T.tocsr()
     sz2_site = sp.csr_matrix(np.array([[1, 0], [0, -1]], dtype=np.int64))

@@ -30,8 +30,6 @@ from typing import List, Tuple
 
 import mpmath
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from . import spin_core
 from .boson import NormalForm
@@ -39,7 +37,8 @@ from .rationals import ComplexRational
 from .spin_core import SpinPolynomial, Z
 from .thermal import THEOREM_STATE
 
-DEFAULT_DIGITS = 50
+#: decimal digits of the mpmath sum in ``spin_thermal_expectation``
+WORKING_DIGITS = 50
 #: largest N the dense XY oracle diagonalizes (a 2^N x 2^N eigenproblem)
 DENSE_ORACLE_CAP = 12
 
@@ -115,21 +114,20 @@ def spin_thermal_expectation(
     params: XYParams,
     N: int,
     poly: SpinPolynomial,
-    digits: int = DEFAULT_DIGITS,
 ) -> float:
     """Finite-N tr(exp(-beta H) poly) / tr(exp(-beta H)), H the XY model.
 
     The H eigenvalue (2 gamma / N)(j(j+1) - m^2) makes the Boltzmann weight
     of a cell exp(-g a / 2N) exp(g u^2 / 2N), with a = 2j(2j + 2), u = 2m and
     g = gamma / kT: one sector weight and one even factor in u, evaluated in
-    ``digits``-digit floating point against the exact diagonal tables.  Valid
-    for any parameters (the finite-N trace always exists).
+    ``WORKING_DIGITS``-digit floating point against the exact diagonal
+    tables.  Valid for any parameters (the finite-N trace always exists).
     """
     spin_core.check_trace_budget(N, poly)
     tables = spin_core.fold_diagonals(N, poly)
     if any(imaginary for *_, imaginary in tables):
         raise ValueError("thermal expectation requires real coefficients")
-    with mpmath.workdps(digits):
+    with mpmath.workdps(WORKING_DIGITS):
         g = mpmath.mpf(params.g.numerator) / params.g.denominator
         weights = (s.multiplicity * mpmath.exp(-g * s.twice_j * (s.twice_j + 2)
                                                / (2 * N))
@@ -155,6 +153,9 @@ def spin_thermal_dense_oracle(
         raise spin_core.ResourceLimitError(
             f"dense XY oracle capped at N={DENSE_ORACLE_CAP}"
         )
+    import scipy.linalg
+    import scipy.sparse as sp
+
     ops = spin_core._collective_ops(N)
     splus = ops[spin_core.PLUS].astype(float)
     sminus = ops[spin_core.MINUS].astype(float)

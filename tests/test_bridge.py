@@ -9,6 +9,7 @@ from spinboson.bridge import (
     position_sector,
     verify_theorem,
 )
+from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
 from spinboson.spin_core import (
     MINUS,
@@ -17,6 +18,7 @@ from spinboson.spin_core import (
     ResourceLimitError,
     SpinPolynomial,
 )
+from spinboson.thermal import THEOREM_STATE, thermal_expect
 
 
 def test_boson_image_examples():
@@ -34,9 +36,48 @@ def test_boson_image_examples():
     }
 
 
-def test_boson_image_rejects_sz():
-    with pytest.raises(ValueError):
-        boson_image(SpinPolynomial.from_word((Z, PLUS)))
+def test_boson_image_of_sz_words():
+    # an odd number of Sz letters has the vanishing moment <eta> = 0
+    assert boson_image(SpinPolynomial.from_word((Z, PLUS))).terms == {}
+    # two Sz letters contribute <eta^2> = 1/4
+    form = boson_image(SpinPolynomial.from_word((Z, Z, PLUS, MINUS)))
+    assert form.terms == {(1, 1): ComplexRational(Fraction(1, 4))}
+
+
+@pytest.mark.parametrize("expr, limit", [
+    ("Sz*Sz*S+*S-", Fraction(1, 8)),
+    ("Sz*S+*Sz*S-", Fraction(1, 8)),
+    ("Sz^4*(S+*S-)^2", Fraction(3, 32)),
+    ("Sz^2*(S+*S- + S-*S+)", Fraction(1, 4)),
+    ("Sz*S+*S-", Fraction(0)),
+])
+def test_mixed_word_limits_are_exact(expr, limit):
+    # <eta^r> times the x = 1/3 factorial moment m! (1/2)^m
+    form = boson_image(parse_polynomial(expr))
+    assert thermal_expect(THEOREM_STATE, form) == limit
+
+
+@pytest.mark.parametrize("expr", ["Sz*S+*Sz*S-", "Sz^4*(S+*S-)^2"])
+def test_verify_mixed_words_converge_at_rate_one(expr):
+    report = verify_theorem(parse_polynomial(expr), [500, 1000, 2000])
+    assert all(a > b for a, b in zip(report.abs_errors, report.abs_errors[1:]))
+    assert 0.7 <= report.fitted_rate <= 1.3
+
+
+@pytest.mark.parametrize("expr", ["Sz*Sz*S+*S-", "Sz^2*(S+*S- + S-*S+)"])
+def test_verify_mixed_words_exact_at_finite_n(expr):
+    # these traces equal their limit at every N, so no rate can be fitted
+    report = verify_theorem(parse_polynomial(expr), [500, 1000, 2000])
+    assert report.boson_value > 0
+    assert report.abs_errors == [0.0, 0.0, 0.0]
+    assert report.fitted_rate is None
+
+
+def test_verify_odd_sz_word_converges_at_rate_one_half():
+    # an odd-length word has a sqrt(N) part: its trace is O(N^{-1/2})
+    report = verify_theorem(parse_polynomial("Sz*S+*S-"), [500, 1000, 2000])
+    assert report.boson_value == 0.0
+    assert report.fitted_rate == pytest.approx(0.5, abs=0.05)
 
 
 def test_verify_theorem_flagship():

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import mpmath
 import pytest
 
+import spinboson
 from spinboson.cli import main
+from spinboson.moments import limit_moment
 from spinboson.parsing import parse_polynomial
 from spinboson.spin_core import check_trace_budget
 
@@ -99,6 +106,13 @@ def test_normal_order(capsys):
     code, out, _ = run(capsys, "normal-order", "--expr", "S+*S- + S-*S+")
     assert code == 0
     assert "->" in out and "ad a" in out
+
+
+def test_normal_order_sz_words(capsys):
+    # <eta^2> = 1/4 for the even Sz word; the odd word Sz has image 0
+    code, out, _ = run(capsys, "normal-order", "--expr", "Sz*Sz*S+*S- + Sz")
+    assert code == 0
+    assert out.strip().endswith("->  (1/4) ad a")
 
 
 def test_oracle_match(capsys):
@@ -201,15 +215,88 @@ def test_float_overflow_exits_1(capsys):
 
 
 def test_xy_sz_observable_reports_spin_side(capsys):
+    # the odd Sz word tends to 0; S+*S- gives 1/(2(1 + g)) = 2/5 at g = 1/4
     argv = ("xy", "--gamma", "1", "--kt", "4",
             "--expr", "Sz*S+*S- + S+*S-", "--n", "200")
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert "<f>_spin(N=200) = " in out and "<f>_boson: none (" in out
+    assert "<f>_spin(N=200) = " in out and "<f>_boson = 0.4\n" in out
     code, out, _ = run(capsys, *argv, "--format", "json")
     (row,) = json.loads(out)["results"]
     assert code == 0 and row["valid"] is True
-    assert math.isfinite(row["expectation_spin"]) and row["expectation_boson"] is None
+    assert math.isfinite(row["expectation_spin"])
+    assert row["expectation_boson"] == pytest.approx(0.4)
+
+
+def test_xy_digits_do_not_change_the_sum(capsys):
+    argv = ("xy", "--gamma", "1", "--kt", "4", "--expr",
+            "(S+*S- + S-*S+)^4", "--n", "300", "--format", "json")
+    rows = []
+    for digits in ("1", "40"):
+        code, out, _ = run(capsys, *argv, "--digits", digits)
+        assert code == 0
+        rows.append(json.loads(out)["results"])
+    assert rows[0] == rows[1]
+
+
+def test_xy_far_outside_bounds_against_per_cell_sum(capsys):
+    # S-^8 S+^8 in cell (j, m) is prod_i (j(j+1) - m_i(m_i+1)), m_i = m + i;
+    # with 2j = tj and 2m_i = t this is prod (tj(tj+2) - t(t+2)) / 4^8
+    gamma, kT, N = 300, 1, 64
+    with mpmath.workdps(60):
+        g = mpmath.mpf(gamma) / kT
+        num = den = mpmath.mpf(0)
+        for tj in range(N % 2, N + 1, 2):
+            k = (N - tj) // 2
+            d = math.comb(N, k) - (math.comb(N, k - 1) if k else 0)
+            for tm in range(-tj, tj + 1, 2):
+                w = d * mpmath.exp(-g * (tj * (tj + 2) - tm * tm) / (2 * N))
+                diag = math.prod(tj * (tj + 2) - t * (t + 2)
+                                 for t in range(tm, tm + 16, 2))
+                den += w
+                num += w * diag
+        want = float(num / den / (4**8 * mpmath.mpf(N) ** 8))
+    code, out, _ = run(capsys, "xy", "--gamma", str(gamma), "--kt", str(kT),
+                       "--expr", "S-^8*S+^8", "--n", str(N), "--format", "json")
+    (row,) = json.loads(out)["results"]
+    assert code == 0 and row["valid"] is False
+    assert row["expectation_spin"] == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_moments_max_l_bounded_by_binary64(capsys):
+    assert float(limit_moment(197)) < math.inf
+    with pytest.raises(OverflowError):
+        float(limit_moment(198))
+    code, out, _ = run(capsys, "moments", "--max-l", "197")
+    assert code == 0 and out.splitlines()[-1].startswith("197  ")
+    for max_l in ("198", str(10**9)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "moments", "--max-l", max_l)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "197" in err
+
+
+def test_cli_commands_do_not_import_scipy():
+    # a fresh interpreter: other tests have already imported scipy here
+    code = (
+        "import sys\n"
+        "from spinboson import cli\n"
+        "for argv in (['trace', '--expr', '(S+*S- + S-*S+)^2', '--n', '50'],\n"
+        "             ['verify', '--expr', 'S+*S-', '--n-list', '50,100'],\n"
+        "             ['xy', '--gamma', '1', '--kt', '4', '--expr', 'S+*S-',\n"
+        "              '--n', '20']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(spinboson.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_xy_gamma_and_kt_from_config(tmp_path, capsys):

@@ -184,6 +184,18 @@ def test_spin_thermal_against_per_cell_sum(gamma, kT, N):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_sz_observable_tends_to_its_boson_image():
+    # H has no Sz, so <eta^2> = 1/4 factors out of the thermal value 4/5
+    params = XYParams(Fraction(1), Fraction(4))
+    poly = parse_polynomial("Sz*Sz*(S+*S- + S-*S+)")
+    target = boson_thermal_expectation(params, boson_image(poly))
+    assert target == Fraction(1, 5)
+    gaps = [abs(spin_thermal_expectation(params, N, poly) - float(target))
+            for N in (300, 1000, 3000)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-4
+
+
 def test_spin_thermal_resource_budget():
     params = XYParams(Fraction(1), Fraction(4))
     with pytest.raises(ResourceLimitError):
