@@ -15,9 +15,13 @@ a = 4j(j+1) and u = 2m with integer coefficients.  ``fold_diagonals`` sums
 these polynomials, with their coefficients and letter scales, into integer
 tables over one common denominator, and ``sector_sums`` sums a table against
 a weight over every (j, m) cell in one pass over the sectors, from running
-sums of the even powers of m.  The exact trace, its binary64 variant and the
-XY thermal expectation differ only in that weight.  A dense tensor-product
-oracle over the 2^N space provides an independent check for small N.
+sums of the even powers of m.  The exact trace and the XY thermal expectation
+differ only in that weight; the binary64 trace rounds the exact one.  Every
+site operator is traceless, so 2^{-n} tr_n of an L-letter word is a
+polynomial in n of degree <= L/2 for all n >= 1: above ``CROSSOVER_N`` sites
+the tables folded at N are summed at n = 1 ... L/2 + 2 only, and the exact
+polynomial through all but the last node, which checks it, is evaluated at N.
+A dense tensor-product oracle over the 2^N space checks small N.
 """
 
 from __future__ import annotations
@@ -42,10 +46,13 @@ LETTERS = (PLUS, MINUS, Z)
 SpinWord = Tuple[str, ...]
 
 DEFAULT_ORACLE_CAP = 14
-#: budget on (sector dimension) x (total word degree) for a single trace
+#: budget on (sector dimension) x (total word degree) for a sum over sectors
 MAX_TRACE_CELLS = 10**8
 #: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
 MAX_WORD_LETTERS = 64
+#: largest N whose trace sums every sector, at most 8256 cells; above it only
+#: the interpolation nodes n <= MAX_WORD_LETTERS // 2 + 2 are summed
+CROSSOVER_N = 2 * MAX_WORD_LETTERS
 #: budget on the estimated number of terms in a power p**k
 MAX_POWER_TERMS = 10**6
 
@@ -65,8 +72,14 @@ def check_trace_budget(N: int, poly: "SpinPolynomial") -> None:
     """Refuse a trace of ``poly`` at N sites before any work is done."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_word_length(poly.degree())
+
+
+def check_sector_budget(N: int, poly: "SpinPolynomial") -> None:
+    """``check_trace_budget`` plus the (N + 1) x degree cells of a sum over
+    every sector."""
+    check_trace_budget(N, poly)
     degree = poly.degree()
-    _check_word_length(degree)
     if (N + 1) * max(1, degree) > MAX_TRACE_CELLS:
         raise ResourceLimitError(
             f"sector dimension {N + 1} x degree {degree} exceeds "
@@ -290,7 +303,7 @@ def _word_diag_poly(word: SpinWord) -> _Poly2 | None:
 
 
 def _p1_eval(coeffs: Sequence, x):
-    # an int start keeps one evaluator for int, binary64 and mpf values
+    # an int start keeps one evaluator for int and mpf values
     v = 0
     for c in reversed(coeffs):
         v = v * x + c
@@ -348,10 +361,11 @@ def sector_sums(N: int, tables, weights, rho) -> list:
 
     Tables hold T as rows[ku][ka], the coefficient of a^ka u^ku, with
     a = 2j(2j + 2) and u = 2m.  ``weights`` yields w_j for 2j = N mod 2,
-    N mod 2 + 2, ...; the sum stops where it ends.  ``rho`` must be even in
-    u, so the odd powers of u cancel over u = -2j..2j and the even ones come
-    from running sums of rho(u) u^k over the sectors.  The arithmetic is that
-    of the tables, weights and rho: int, binary64 or mpf.
+    N mod 2 + 2, ..., N.  ``rho`` must be even in u, so the odd powers of u
+    cancel over u = -2j..2j and the even ones come from running sums of
+    rho(u) u^k over the sectors.  The arithmetic is that of the tables,
+    weights and rho: exact int multiplicities for traces (there are no
+    binary64 weights; the float trace rounds the exact one) or mpf for XY.
     """
     evens = [rows[::2] for rows in tables]
     # moments[i]: sum of rho(u) u^(2i) over |u| <= 2j
@@ -408,6 +422,9 @@ def _render_decimal(result_n: int, exact: ComplexRational,
     def frac(f: Fraction):
         return ctx.divide(decimal.Decimal(f.numerator), decimal.Decimal(f.denominator))
 
+    whole = math.isqrt(result_n)
+    if whole * whole == result_n:  # an exact root leaves no trailing zeros
+        exact, sqrt_n = exact + sqrt_n * whole, ComplexRational(0)
     root = ctx.sqrt(decimal.Decimal(result_n)) if sqrt_n else decimal.Decimal(0)
     re = out_ctx.plus(frac(exact.re) + frac(sqrt_n.re) * root)
     im = out_ctx.plus(frac(exact.im) + frac(sqrt_n.im) * root)
@@ -415,6 +432,38 @@ def _render_decimal(result_n: int, exact: ComplexRational,
         return str(re)
     sign = "+" if im >= 0 else "-"
     return f"{re}{sign}{abs(im)}i"
+
+
+def _node_values(n: int, rows) -> list:
+    """Sector sums of the tables ``rows`` at n sites over the identity's 2^n."""
+    *sums, total = sector_sums(
+        n, rows + [IDENTITY_TABLE], (s.multiplicity for s in irrep_sectors(n)),
+        lambda u: 1)
+    return [Fraction(s, total) for s in sums]
+
+
+def _lagrange(values: Sequence[Fraction], x: int) -> Fraction:
+    """The polynomial through (1, values[0]), (2, values[1]), ... at x."""
+    nodes = range(1, len(values) + 1)
+    return sum(v * Fraction(math.prod(x - j for j in nodes if j != i),
+                            math.prod(i - j for j in nodes if j != i))
+               for i, v in zip(nodes, values))
+
+
+def _interpolated_values(N: int, rows, degree: int) -> list:
+    """``_node_values(N, rows)`` from the nodes n = 1 ... degree // 2 + 2.
+
+    Each value is a polynomial in n of degree <= degree // 2, fixed by all but
+    the last node; a mismatch at the last one raises ArithmeticError.
+    """
+    out = []
+    for *fit, check in zip(*(_node_values(n, rows)
+                             for n in range(1, degree // 2 + 3))):
+        if _lagrange(fit, len(fit) + 1) != check:
+            raise ArithmeticError(
+                f"trace polynomial of degree {degree // 2} misses its check node")
+        out.append(_lagrange(fit, N))
+    return out
 
 
 def normalized_trace(
@@ -425,58 +474,31 @@ def normalized_trace(
 ) -> TraceResult:
     """Exact 2^{-N} trace of a polynomial with 1/sqrt(N) per letter.
 
-    Set ``use_float`` to evaluate the sector sum in binary64 instead of exact
-    integers; the result is then labeled with ``float_path=True`` and
-    ``exact`` holds the rounded value.
+    Up to ``CROSSOVER_N`` sites the N + 1 sectors are summed directly; above
+    it the same tables are summed at a few small n and interpolated in n.
+    Set ``use_float`` to round the exact value to binary64; the result is
+    then labeled with ``float_path=True`` and ``exact`` holds the rounding.
     """
     check_trace_budget(N, poly)
     tables = fold_diagonals(N, poly)
-    if use_float:
-        return _normalized_trace_float(N, tables, digits)
-    *sums, total = sector_sums(
-        N, [rows for rows, *_ in tables] + [IDENTITY_TABLE],
-        (s.multiplicity for s in irrep_sectors(N)), lambda u: 1)
+    rows = [table[0] for table in tables]
+    values = (_node_values(N, rows) if N <= CROSSOVER_N
+              else _interpolated_values(N, rows, poly.degree()))
     parts = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-    for (_, lcd, radical, imaginary), s in zip(tables, sums):
-        parts[radical][imaginary] = Fraction(s, lcd * total)
+    for (_, lcd, radical, imaginary), v in zip(tables, values):
+        parts[radical][imaginary] = v / lcd
     exact, sqrt_n = (ComplexRational(*p) for p in parts)
+    if use_float:
+        return _normalized_trace_float(N, exact, sqrt_n, digits)
     return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))
 
 
-def _float_weights(N: int) -> Iterator[float]:
-    """d(N, j) / 2^N in binary64, smallest j first, until one is 0.0.
-
-    One log-gamma value at k = N // 2, then the log of the ratio
-    C(N, k - 1) / C(N, k) = k / (N - k + 1) per sector, with k = N/2 - j and
-    d = C(N, k)(2j + 1)/(N - k + 1).  C(N, k) only falls as k leaves N/2, so
-    every later weight would be 0.0 too.
-    """
-    k0 = N // 2
-    log_c = (math.lgamma(N + 1) - math.lgamma(k0 + 1) - math.lgamma(N - k0 + 1)
-             - N * math.log(2))
-    for k in range(k0, -1, -1):
-        w = math.exp(log_c) * (N - 2 * k + 1) / (N - k + 1)
-        if w == 0.0:
-            return
-        yield w
-        if k:
-            log_c += math.log1p((2 * k - N - 1) / (N - k + 1))
-
-
-def _normalized_trace_float(N: int, tables, digits: int) -> TraceResult:
-    rows = [[[c / lcd for c in row] for row in r] for r, lcd, _, _ in tables]
-    *sums, total = sector_sums(N, rows + [IDENTITY_TABLE], _float_weights(N),
-                               lambda u: 1.0)
-    value = complex(0.0)
-    for (_, _, radical, imaginary), s in zip(tables, sums):
-        value += s / total * (math.sqrt(N) if radical else 1) * (1j if imaginary else 1)
+def _normalized_trace_float(N: int, exact, sqrt_n, digits: int) -> TraceResult:
+    """The binary64 rounding of an exact trace ``exact + sqrt_n sqrt(N)``."""
+    value = complex(exact) + complex(sqrt_n) * math.sqrt(N)
     exact = ComplexRational(Fraction(value.real), Fraction(value.imag))
-    return TraceResult(
-        n=N,
-        exact=exact,
-        decimal=_render_decimal(N, exact, ComplexRational(0), digits) + " (float)",
-        float_path=True,
-    )
+    decimal = _render_decimal(N, exact, ComplexRational(0), digits) + " (float)"
+    return TraceResult(N, exact, decimal=decimal, float_path=True)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def spin_thermal_expectation(
     ``WORKING_DIGITS``-digit floating point against the exact diagonal
     tables.  Valid for any parameters (the finite-N trace always exists).
     """
-    spin_core.check_trace_budget(N, poly)
+    spin_core.check_sector_budget(N, poly)
     tables = spin_core.fold_diagonals(N, poly)
     if any(imaginary for *_, imaginary in tables):
         raise ValueError("thermal expectation requires real coefficients")

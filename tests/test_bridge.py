@@ -17,6 +17,7 @@ from spinboson.spin_core import (
     Z,
     ResourceLimitError,
     SpinPolynomial,
+    normalized_trace,
 )
 from spinboson.thermal import THEOREM_STATE, thermal_expect
 
@@ -152,3 +153,33 @@ def test_two_route_rate_for_ladder_words():
     report = verify_theorem(poly, [64, 128, 256, 512])
     assert report.boson_value == pytest.approx(0.5)  # 2! * (1/2)^2
     assert 0.7 <= report.fitted_rate <= 1.3
+
+
+@pytest.mark.parametrize("expr, limit", [
+    ("(S+*S- + S-*S+)^5", 120),
+    ("Sz^4", Fraction(3, 16)),
+    ("(S+ + S-)^4", 3),
+    ("Sz*Sz*S+*S-", Fraction(1, 8)),
+    ("Sz^4*(S+*S-)^2", Fraction(3, 32)),
+])
+def test_exact_limit_is_the_boson_image(expr, limit):
+    """The N -> infinity limit c0, read off exact traces, equals the image.
+
+    An even-length trace is a polynomial in x = 1/N of degree <= L/2, so
+    L/2 + 1 exact values fix it, and its value at x = 0 is the limit.
+    """
+    poly = parse_polynomial(expr)
+    xs, values = [], []
+    for k in range(poly.degree() // 2 + 1):
+        res = normalized_trace(10**6 + k, poly)
+        assert res.sqrt_n == 0
+        xs.append(Fraction(1, 10**6 + k))
+        values.append(res.exact.as_fraction())
+    c0 = Fraction(0)
+    for i, (xi, v) in enumerate(zip(xs, values)):
+        for j, xj in enumerate(xs):
+            if j != i:
+                v *= xj / (xj - xi)
+        c0 += v
+    boson = thermal_expect(THEOREM_STATE, boson_image(poly)).as_fraction()
+    assert c0 == boson == limit

@@ -69,6 +69,24 @@ def test_trace_float_path_labeled(capsys):
     assert code == 0 and "[float path]" in out
 
 
+def test_sqrt_part_at_perfect_square_n_renders_like_a_rational(capsys):
+    # at a perfect square N the sqrt(N) part joins the rational part exactly
+    code, out, _ = run(capsys, "trace", "--expr", "Sz*S+*S-",
+                       "--n-list", "100,400", "--digits", "6")
+    assert code == 0 and out == "N=100: 0.025\nN=400: 0.0125\n"
+    code, out, _ = run(capsys, "trace", "--expr", "(1/40)", "--n", "100")
+    assert code == 0 and out == "N=100: 0.025\n"
+    code, out, _ = run(capsys, "oracle", "--expr", "Sz*S+*S-", "--n", "4")
+    assert code == 0 and out == "N=4: engine 0.125  dense 0.125  MATCH\n"
+    code, out, _ = run(capsys, "trace", "--expr", "Sz*S+*S-", "--n", "4",
+                       "--float")
+    assert code == 0 and out == "N=4: 0.125 (float) [float path]\n"
+    # a non-square N still rounds the irrational value to --digits figures
+    code, out, _ = run(capsys, "trace", "--expr", "Sz*S+*S-", "--n", "101",
+                       "--digits", "6")
+    assert code == 0 and out == "N=101: 0.0248759\n"
+
+
 def test_moments_table(capsys):
     code, out, _ = run(capsys, "moments", "--max-l", "3")
     assert code == 0

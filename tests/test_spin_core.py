@@ -6,9 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinboson import spin_core
+from spinboson.cli import main
 from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
 from spinboson.spin_core import (
+    CROSSOVER_N,
+    IDENTITY_TABLE,
     MINUS,
     PLUS,
     Z,
@@ -16,9 +20,11 @@ from spinboson.spin_core import (
     SpinPolynomial,
     _word_diag_poly,
     dense_oracle_trace,
+    fold_diagonals,
     irrep_multiplicity,
     irrep_sectors,
     normalized_trace,
+    sector_sums,
     word_adjoint,
 )
 
@@ -212,8 +218,8 @@ def test_dense_oracle_cap():
 
 
 def test_trace_budget():
-    with pytest.raises(ResourceLimitError):
-        normalized_trace(10**8, SpinPolynomial.s_x() ** 2)
+    # above the crossover no sector sum grows with N, so no cell budget applies
+    assert normalized_trace(10**8, SpinPolynomial.s_x() ** 2).exact == Fraction(1, 4)
 
 
 def test_power_budget_rejects_before_expanding():
@@ -280,3 +286,85 @@ def test_odd_word_sqrt_part_against_oracle():
         assert engine.exact == dense.exact == ComplexRational(0)
         assert engine.sqrt_n == dense.sqrt_n
         assert engine.sqrt_n != 0
+
+
+def _direct_trace(N, poly):
+    """(exact, sqrt_n) from one sector_sums pass over all N + 1 sectors."""
+    tables = fold_diagonals(N, poly)
+    *sums, total = sector_sums(
+        N, [rows for rows, *_ in tables] + [IDENTITY_TABLE],
+        (s.multiplicity for s in irrep_sectors(N)), lambda u: 1)
+    parts = [[0, 0], [0, 0]]
+    for (_, lcd, radical, imaginary), s in zip(tables, sums):
+        parts[radical][imaginary] = Fraction(s, lcd * total)
+    return tuple(ComplexRational(*p) for p in parts)
+
+
+def _random_product(rng, max_letters=7):
+    """A product of Sx, Sy, Sz, S+, S- letters with a complex coefficient."""
+    letters = (SpinPolynomial.s_x(), SpinPolynomial.s_y(), SpinPolynomial.s_z(),
+               SpinPolynomial.s_plus(), SpinPolynomial.s_minus())
+    out = SpinPolynomial.identity()
+    for _ in range(rng.randint(1, max_letters)):
+        out = out * rng.choice(letters)
+    return out.scale(ComplexRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                     Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+
+
+def test_interpolated_trace_against_direct_sum():
+    rng = random.Random(11)
+    Ns = [CROSSOVER_N + 1, CROSSOVER_N + 2, 3000, 3001]
+    Ns += [rng.randint(CROSSOVER_N + 1, 3001) for _ in range(8)]
+    odd_radical = False
+    for N in Ns:
+        poly = _random_poly(rng, max_degree=7) + _random_product(rng)
+        res = normalized_trace(N, poly)
+        assert (res.exact, res.sqrt_n) == _direct_trace(N, poly), (N, poly)
+        odd_radical |= res.sqrt_n != 0
+    assert odd_radical  # some odd-length word left a sqrt(N) part
+
+
+def test_interpolated_trace_against_dense_oracle(monkeypatch):
+    monkeypatch.setattr(spin_core, "CROSSOVER_N", 0)  # interpolate at every N
+    rng = random.Random(5)
+    for N in range(1, 13):
+        poly = _random_poly(rng) + _random_product(rng, max_letters=5)
+        engine = normalized_trace(N, poly)
+        dense = dense_oracle_trace(N, poly)
+        assert (engine.exact, engine.sqrt_n) == (dense.exact, dense.sqrt_n), N
+
+
+@pytest.mark.parametrize("node", [1, 2, 3])
+def test_corrupted_node_raises(monkeypatch, capsys, node):
+    original = spin_core._node_values
+
+    def corrupted(n, rows):
+        values = original(n, rows)
+        return [v + 1 for v in values] if n == node else values
+
+    monkeypatch.setattr(spin_core, "_node_values", corrupted)
+    with pytest.raises(ArithmeticError, match="check node"):
+        normalized_trace(1000, parse_polynomial("Sz^2"))
+    assert main(["trace", "--expr", "Sz^2", "--n", "1000"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_multiplicity_calls_do_not_grow_with_n(monkeypatch):
+    calls = []
+    original = spin_core.irrep_multiplicity
+    monkeypatch.setattr(spin_core, "irrep_multiplicity",
+                        lambda N, tj: calls.append(N) or original(N, tj))
+    poly = parse_polynomial("(S+*S- + S-*S+)^5")
+    counts = []
+    for N in (10**4, 10**6):
+        calls.clear()
+        normalized_trace(N, poly)
+        counts.append(len(calls))
+        assert max(calls) == poly.degree() // 2 + 2
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("expr, closed_form", CLOSED_FORMS)
+def test_exact_closed_forms_at_ten_million(expr, closed_form):
+    N = 10**7 + 1
+    assert normalized_trace(N, parse_polynomial(expr)).exact == closed_form(N)
