@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -301,11 +302,16 @@ _COMMANDS = {
 }
 
 
+#: built once per process; a --config call edits a fresh parser's defaults
+_cached_parser = functools.lru_cache(maxsize=1)(_build_parser)
+
+
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser, _ = _cached_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
+            parser, commands = _build_parser()
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
         if args.digits < 1:

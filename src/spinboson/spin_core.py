@@ -529,6 +529,28 @@ def _collective_ops(N: int):
             Z: collective(sz2_site)}
 
 
+def _check_int64(N: int, L: int) -> None:
+    """Refuse L-letter words: S+, S-, 2Sz have entries and row sums <= N, so
+    any product of <= L letters, and its trace, is at most 2^N * N^L."""
+    if 2**N * N**L >= 2**63:
+        raise ResourceLimitError(
+            f"dense oracle: a {L}-letter word at N={N} can reach "
+            f"2^N * N^L = {2**N * N**L} >= 2^63, beyond int64"
+        )
+
+
+def _chain(ops, letters: Sequence[str]):
+    """The integer product of ``letters`` left to right (identity if none)."""
+    import scipy.sparse as sp
+
+    if not letters:
+        return sp.identity(ops[PLUS].shape[0], dtype=np.int64, format="csr")
+    prod = ops[letters[0]]
+    for ch in letters[1:]:
+        prod = prod @ ops[ch]
+    return prod
+
+
 def dense_oracle_trace(
     N: int,
     poly: SpinPolynomial,
@@ -538,8 +560,11 @@ def dense_oracle_trace(
     """Independent trace via explicit tensor products of Pauli operators.
 
     Builds the collective operators on the full 2^N space with integer
-    entries (2*Sz keeps everything integral), multiplies out each word and
-    reads the exact trace.  Refuses N above ``cap``.
+    entries (2*Sz keeps everything integral) and reads each exact trace as
+    sum(P .* Q^T), where P and Q are the products of the first and second
+    half of the word.  A trace is invariant under cyclic rotation, so it is
+    computed once per rotation class, from the class's least rotation.
+    Refuses N above ``cap`` and words whose products could leave int64.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -548,23 +573,20 @@ def dense_oracle_trace(
             f"dense oracle supports N <= {cap}; got N={N}. Raise the cap "
             f"explicitly if you can afford the 2^N x 2^N construction."
         )
+    _check_int64(N, poly.degree())
     ops = _collective_ops(N)
     pow2 = 2**N
+    class_traces: Dict[SpinWord, int] = {}
     parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
     for word, coeff in poly.terms.items():
         L = len(word)
-        if L == 0:
-            tr = pow2
-        else:
-            mats = [ops[ch] for ch in word]
-            prod = mats[0]
-            for m in mats[1:-1]:
-                prod = prod @ m
-            if len(mats) > 1:
-                tr = int(prod.multiply(mats[-1].T).sum())
-            else:
-                tr = int(prod.diagonal().sum())
+        key = min((word[i:] + word[:i] for i in range(L)), default=word)
+        if key not in class_traces:
+            half = (L + 1) // 2
+            P, Q = _chain(ops, key[:half]), _chain(ops, key[half:])
+            class_traces[key] = int(P.multiply(Q.T).sum())
         divisor, radical = letter_scale(N, L)
-        parts[radical] += coeff * Fraction(tr, 2 ** word.count(Z) * pow2 * divisor)
+        parts[radical] += coeff * Fraction(
+            class_traces[key], 2 ** word.count(Z) * pow2 * divisor)
     exact, sqrt_n = parts
     return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))

@@ -147,15 +147,17 @@ def spin_thermal_dense_oracle(
     """Dense tensor-product check of the finite-N thermal expectation.
 
     Builds the 2^N Hamiltonian, diagonalizes it, and traces against the
-    dense observable in binary64.  Refuses N above ``DENSE_ORACLE_CAP``.
+    dense observable in binary64; each observable word is the trace oracle's
+    exact integer product, converted once.  Refuses N above
+    ``DENSE_ORACLE_CAP`` and words whose products could leave int64.
     """
     if N > DENSE_ORACLE_CAP:
         raise spin_core.ResourceLimitError(
             f"dense XY oracle capped at N={DENSE_ORACLE_CAP}"
         )
     import scipy.linalg
-    import scipy.sparse as sp
 
+    spin_core._check_int64(N, poly.degree())
     ops = spin_core._collective_ops(N)
     splus = ops[spin_core.PLUS].astype(float)
     sminus = ops[spin_core.MINUS].astype(float)
@@ -164,10 +166,8 @@ def spin_thermal_dense_oracle(
     weights = np.exp(-evals / float(params.kT))
     obs = np.zeros((2**N, 2**N), dtype=complex)
     for word, coeff in poly.terms.items():
-        mat = sp.identity(2**N, dtype=float, format="csr")
-        for ch in word:
-            mat = mat @ (ops[ch].astype(float) / (2.0 if ch == Z else 1.0))
-        obs += complex(coeff) * mat.toarray() * N ** (-len(word) / 2)
+        mat = spin_core._chain(ops, word).toarray() / 2.0 ** word.count(Z)
+        obs += complex(coeff) * mat * N ** (-len(word) / 2)
     rotated = vecs.conj().T @ obs @ vecs
     num = float(np.real(np.sum(weights * np.diag(rotated))))
     den = float(np.sum(weights))

@@ -167,6 +167,27 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     assert code == 0 and out.strip() == "N=4: 0.5"
 
 
+def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = 4\n")
+    h2 = ("trace", "--expr", "(S+*S- + S-*S+)^2", "--n", "7")
+    code, out, _ = run(capsys, "--config", str(cfg), *h2)
+    assert code == 0 and out.strip() == "N=7: 1.857"
+    # the next call without --config prints the default 12 digits again
+    code, out, _ = run(capsys, *h2)
+    assert code == 0 and out.strip() == "N=7: 1.85714285714"
+
+
+def test_oracle_refuses_words_beyond_int64(capsys):
+    # 2^8 * 8^32 >= 2^63: the dense products could wrap, so no product is made
+    code, out, err = run(capsys, "oracle", "--expr", "(S+*S-)^16", "--n", "8")
+    assert code == 2 and out == ""
+    assert "resource error" in err and "2^63" in err
+    # 2^8 * 8^18 = 2^62 is inside the bound
+    code, out, _ = run(capsys, "oracle", "--expr", "(S+*S-)^9", "--n", "8")
+    assert code == 0 and out.rstrip().endswith("MATCH")
+
+
 def test_config_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")

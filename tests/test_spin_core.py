@@ -217,6 +217,69 @@ def test_dense_oracle_cap():
         dense_oracle_trace(15, SpinPolynomial.identity())
 
 
+def _plain_oracle(N, poly):
+    """The trace of ``poly`` from dense matrices multiplied left to right."""
+    site = {PLUS: [[0, 1], [0, 0]], MINUS: [[0, 0], [1, 0]],
+            Z: [[1, 0], [0, -1]]}  # 2 Sz
+    ops = {}
+    for ch, op in site.items():
+        op = np.array(op, np.int64)
+        ops[ch] = sum(
+            np.kron(np.kron(np.identity(2**k, np.int64), op),
+                    np.identity(2 ** (N - k - 1), np.int64))
+            for k in range(N)
+        )
+    parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
+    for word, coeff in poly.terms.items():
+        mat = np.identity(2**N, np.int64)
+        for ch in word:
+            mat = mat @ ops[ch]
+        L = len(word)
+        scale = 2 ** word.count(Z) * 2**N * N ** ((L + 1) // 2)
+        parts[L % 2] += coeff * Fraction(int(np.trace(mat)), scale)
+    return tuple(parts)
+
+
+def test_dense_oracle_against_plain_product():
+    rng = random.Random(17)
+    lengths, odd_sz, complex_coeffs = set(), False, False
+    for N in range(1, 9):
+        for _ in range(3):
+            poly = _random_poly(rng, max_degree=7, max_terms=4)
+            res = dense_oracle_trace(N, poly)
+            assert (res.exact, res.sqrt_n) == _plain_oracle(N, poly), (N, poly)
+            lengths |= {len(w) for w in poly.terms}
+            odd_sz |= any(Z in w and len(w) % 2 for w in poly.terms)
+            complex_coeffs |= any(not c.is_real for c in poly.terms.values())
+    assert lengths == set(range(8)) and odd_sz and complex_coeffs
+
+
+def test_dense_oracle_one_product_per_rotation_class(monkeypatch):
+    word = (PLUS, Z, MINUS, MINUS, PLUS)
+    poly = SpinPolynomial({word[i:] + word[:i]: i + 1 for i in range(5)})
+    assert len(poly.terms) == 5
+    chains = []
+
+    def counted(ops, letters):
+        chains.append(tuple(letters))
+        return original(ops, letters)
+
+    original = spin_core._chain
+    monkeypatch.setattr(spin_core, "_chain", counted)
+    res = dense_oracle_trace(6, poly)
+    assert len(chains) == 2  # the two half-word products of one class
+    assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
+
+
+@pytest.mark.parametrize("N", [13, 14])
+@pytest.mark.parametrize(
+    "expr", ["(S+*S- + S-*S+)^2", "(S+ + S-)^4", "S+*Sz^2*S-"])
+def test_engine_equals_oracle_up_to_fourteen_sites(N, expr):
+    poly = parse_polynomial(expr)
+    engine, dense = normalized_trace(N, poly), dense_oracle_trace(N, poly)
+    assert (engine.exact, engine.sqrt_n) == (dense.exact, dense.sqrt_n)
+
+
 def test_trace_budget():
     # above the crossover no sector sum grows with N, so no cell budget applies
     assert normalized_trace(10**8, SpinPolynomial.s_x() ** 2).exact == Fraction(1, 4)

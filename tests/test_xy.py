@@ -133,6 +133,13 @@ def test_spin_thermal_against_dense_oracle():
         spin_thermal_dense_oracle(params, 13, poly)
 
 
+def test_spin_thermal_dense_oracle_refuses_words_beyond_int64():
+    # 2^12 * 12^15 >= 2^63; refused before the Hamiltonian is diagonalized
+    params = XYParams(Fraction(1), Fraction(4))
+    with pytest.raises(ResourceLimitError, match="2\\^63"):
+        spin_thermal_dense_oracle(params, 12, parse_polynomial("Sz^15"))
+
+
 @pytest.mark.parametrize("gamma, kT", [(1, 4), (-1, 3)])
 def test_spin_thermal_mixed_word_lengths_against_dense_oracle(gamma, kT):
     # lengths 1 to 4, odd ones included, each with its own N^{-L/2} scale
