@@ -16,11 +16,9 @@ from .bridge import (
     verify_theorem,
 )
 from .moments import (
-    characteristic_function,
     complex_gaussian_expectation,
     gaussian_expectation,
     limit_moment,
-    mixed_limit_moment,
 )
 from .parsing import parse_polynomial, render_polynomial
 from .rationals import ComplexRational

@@ -45,48 +45,9 @@ class _TermPolynomial(CoefficientMap):
         }
         return json.dumps(data)
 
-    @classmethod
-    def from_json(cls, text: str):
-        data = json.loads(text)
-        terms = {}
-        for key, (re, im) in data.items():
-            m, n = (int(p) for p in key.split(","))
-            terms[(m, n)] = ComplexRational(Fraction(re), Fraction(im))
-        return cls(terms)
-
 
 class BosonSymbol(_TermPolynomial):
     """Commuting polynomial in (z*, z); key (m, n) is the monomial z*^m z^n."""
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def zstar(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def z(cls):
-        return cls({(0, 1): 1})
-
-    def __mul__(self, other):
-        if not isinstance(other, BosonSymbol):
-            return self.scale(other)
-        out = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                key = (m1 + m2, n1 + n2)
-                out[key] = out.get(key, ComplexRational(0)) + c1 * c2
-        return BosonSymbol(out)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = BosonSymbol.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -104,11 +65,6 @@ class NormalForm(_TermPolynomial):
     @classmethod
     def identity(cls):
         return cls({(0, 0): 1})
-
-    def adjoint(self) -> "NormalForm":
-        return NormalForm(
-            {(n, m): c.conjugate() for (m, n), c in self.terms.items()}
-        )
 
     def diagonal_element(self, level: int) -> ComplexRational:
         """Exact <level| form |level>; only m = n terms contribute."""
@@ -214,18 +170,3 @@ def number_polynomial(n: int) -> Tuple[int, ...]:
     """
     return tuple(2**n * c for c in stirling_row(n))
 
-
-def normal_ordered_exponential(c) -> Fraction:
-    """Base of the number-operator power equal to N-ordered exp(c (a+a + aa+)).
-
-    The symbol of the exponent is 2 c z* z, and term-by-term normal ordering
-    sums to (1 + 2c)^{a+ a}.  Returns the base 1 + 2c; requires 1 + 2c > 0
-    for the series interpretation to be valid.
-    """
-    base = 1 + 2 * Fraction(c)
-    if base <= 0:
-        raise ValueError(
-            f"1 + 2c = {base} is not positive; the normal-ordered exponential "
-            f"diverges (validity bound violated)"
-        )
-    return base

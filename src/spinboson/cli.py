@@ -1,6 +1,6 @@
 """Command-line front end for batch computations.
 
-Exit codes: 0 success, 1 domain error, 2 resource-budget error.
+Exit codes: 0 success, 1 domain or usage error, 2 resource-budget error.
 """
 
 from __future__ import annotations
@@ -18,23 +18,32 @@ from .parsing import parse_polynomial, render_polynomial
 from .spin_core import ResourceLimitError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach ``main`` as ValueError,
+    so they exit 1 with one ``error:`` line like every other bad value."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser():
     """The argument parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinboson",
         description="Exact collective-spin traces and their bosonic limits.",
     )
     parser.add_argument("--config", help="key=value file; flags take precedence")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, expr=True, n=True):
+    def common(p, expr=True, n=True, digits=True):
         if expr:
             p.add_argument("--expr", help="polynomial over S+, S-, Sz")
         if n:
             p.add_argument("--n", type=int, help="number of spin-1/2 sites")
             p.add_argument("--n-list", help="comma-separated site counts")
-        p.add_argument("--digits", type=int, default=12,
-                       help="rendered decimal precision (default 12)")
+        if digits:
+            p.add_argument("--digits", type=int, default=12,
+                           help="rendered decimal precision (default 12)")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--out", help="output path (default stdout)")
@@ -42,21 +51,24 @@ def _build_parser():
     p = sub.add_parser("trace", help="normalized trace of a polynomial")
     common(p)
     p.add_argument("--float", action="store_true", dest="float_path",
-                   help="use the binary64 fast path (labeled in output)")
+                   help="print the binary64 rounding of the exact value "
+                        "(labeled in output)")
     p = sub.add_parser("moments", help="table of limit moments")
-    common(p, expr=False, n=False)
+    common(p, expr=False, n=False, digits=False)
     p.add_argument("--max-l", type=int, default=5, dest="max_l")
     p = sub.add_parser("verify", help="theorem convergence report")
     common(p)
     p = sub.add_parser("xy", help="Heisenberg XY application")
-    common(p)
+    common(p, digits=False)
     p.add_argument("--gamma", help="coupling (units of hbar), required")
     p.add_argument("--kt", help="temperature (k_B absorbed), required")
     p = sub.add_parser("normal-order", help="bosonic image of a polynomial")
-    common(p, n=False)
+    common(p, n=False, digits=False)
     p = sub.add_parser("oracle", help="irrep engine against the dense oracle")
     common(p)
-    p.add_argument("--oracle-cap", type=int, default=14, dest="oracle_cap")
+    p.add_argument("--oracle-cap", type=int, dest="oracle_cap",
+                   default=spin_core.DEFAULT_ORACLE_CAP,
+                   help="largest N the dense oracle builds (default %(default)s)")
     return parser, sub.choices
 
 
@@ -308,13 +320,13 @@ _cached_parser = functools.lru_cache(maxsize=1)(_build_parser)
 
 def main(argv=None) -> int:
     parser, _ = _cached_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             parser, commands = _build_parser()
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
-        if args.digits < 1:
+        if getattr(args, "digits", 1) < 1:
             raise ValueError("--digits must be >= 1")
         _COMMANDS[args.command](args)
     except ResourceLimitError as exc:

@@ -1,10 +1,9 @@
-"""Limit moments, characteristic function and Gaussian expectation laws.
+"""Limit moments and Gaussian expectation laws.
 
 The normalized traces of even powers of any scaled collective spin component
 converge to the moments (2l)! / (2^{3l} l!), i.e. the moments of a centered
-Gaussian with standard deviation 1/2.  Mixed moments of two distinct
-components factorize in the limit.  This module provides the closed forms
-together with the real and complex Gaussian expectation functionals.
+Gaussian with standard deviation 1/2.  This module provides those closed
+forms together with the real and complex Gaussian expectation functionals.
 """
 
 from __future__ import annotations
@@ -37,20 +36,6 @@ def limit_moment(ell: int) -> Fraction:
     return Fraction(math.factorial(2 * ell), 2 ** (3 * ell) * math.factorial(ell))
 
 
-def mixed_limit_moment(m: int, ell: int) -> Fraction:
-    """Limit of the mixed even moment; factorizes into single moments."""
-    if m < 0 or ell < 0:
-        raise ValueError("orders must be >= 0")
-    return limit_moment(m) * limit_moment(ell)
-
-
-def characteristic_function(t: float) -> float:
-    """Characteristic function exp(-t^2 / 8) of the limiting law."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    return math.exp(-t * t / 8.0)
-
-
 @dataclass(frozen=True)
 class GaussianLaw:
     """The limiting real law: zero mean, standard deviation 1/2."""
@@ -60,14 +45,6 @@ class GaussianLaw:
 
     def density(self, eta: float) -> float:
         return math.sqrt(2.0 / math.pi) * math.exp(-2.0 * eta * eta)
-
-
-@dataclass(frozen=True)
-class ComplexGaussianLaw:
-    """The limiting law on the complex plane, density (2/pi) exp(-2|z|^2)."""
-
-    def density(self, z: complex) -> float:
-        return (2.0 / math.pi) * math.exp(-2.0 * abs(z) ** 2)
 
 
 Integrand = Union[Callable[[float], float], Sequence]

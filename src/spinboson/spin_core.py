@@ -95,12 +95,6 @@ def _check_word(word: Sequence[str]) -> SpinWord:
     return w
 
 
-def word_adjoint(word: SpinWord) -> SpinWord:
-    """Reverse the word and swap raising/lowering letters."""
-    swap = {PLUS: MINUS, MINUS: PLUS, Z: Z}
-    return tuple(swap[ch] for ch in reversed(word))
-
-
 class SpinPolynomial(CoefficientMap):
     """Exact linear combination of words over {S+, S-, Sz}.
 
@@ -117,10 +111,6 @@ class SpinPolynomial(CoefficientMap):
     @classmethod
     def identity(cls) -> "SpinPolynomial":
         return cls({(): ComplexRational(1)})
-
-    @classmethod
-    def zero(cls) -> "SpinPolynomial":
-        return cls({})
 
     @classmethod
     def from_word(cls, word: Sequence[str], coeff=1) -> "SpinPolynomial":

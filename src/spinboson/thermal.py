@@ -41,21 +41,6 @@ class ThermalState:
 THEOREM_STATE = ThermalState(Fraction(1, 3))
 
 
-@dataclass(frozen=True)
-class GroundOscillator:
-    """Ground-state oscillator equivalent to the z component.
-
-    A minimum-uncertainty Gaussian with <x> = 0 and Delta x = 1/2 fixes
-    m * omega = 1 / (2 Delta x^2) = 2.
-    """
-
-    mass_times_frequency: int = 2
-
-    @property
-    def position_spread(self) -> Fraction:
-        return Fraction(1, 2)
-
-
 def density_diagonal(state: ThermalState, n: int) -> Fraction:
     """Occupation probability p_n = (1 - x) x^n."""
     if n < 0:
@@ -135,16 +120,6 @@ def thermal_expect_weighted(
             term = head * math.factorial(m) * t**m / (1 - t) ** (m + 1)
             total = total + c * term
     return total
-
-
-def partition_normalization(state: ThermalState) -> Tuple[Fraction, Fraction]:
-    """The normalization Z = sum_n x^{n + 1/2} as (rational factor, radicand).
-
-    The value is factor * sqrt(radicand) with factor = 1 / (1 - x) and
-    radicand = x; at x = 1/3 this is the theorem's Z = sqrt(3)/2 since
-    (3/2) * sqrt(1/3) = sqrt(3)/2.
-    """
-    return (1 / (1 - state.x), state.x)
 
 
 def partition_normalization_squared(state: ThermalState) -> Fraction:

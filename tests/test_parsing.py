@@ -71,7 +71,7 @@ def test_parse_errors_carry_positions():
 
 
 def test_render_examples():
-    assert render_polynomial(SpinPolynomial.zero()) == "0"
+    assert render_polynomial(SpinPolynomial({})) == "0"
     assert render_polynomial(SpinPolynomial.identity()) == "1"
     poly = SpinPolynomial(
         {(Z,): ComplexRational(Fraction(-1, 2)), (PLUS, MINUS): ComplexRational(1)}

@@ -9,11 +9,9 @@ from spinboson.moments import complex_gaussian_expectation
 from spinboson.rationals import ComplexRational
 from spinboson.thermal import (
     THEOREM_STATE,
-    GroundOscillator,
     ThermalState,
     density_diagonal,
     ground_position_expectation,
-    partition_normalization,
     partition_normalization_squared,
     polylog_negative,
     thermal_expect,
@@ -33,12 +31,8 @@ def test_state_validation():
 def test_theorem_state_basics():
     assert THEOREM_STATE.x == Fraction(1, 3)
     assert THEOREM_STATE.mean_occupation == Fraction(1, 2)
+    # Z = sum_n x^{n + 1/2} = sqrt(3)/2 at x = 1/3
     assert partition_normalization_squared(THEOREM_STATE) == Fraction(3, 4)
-    factor, radicand = partition_normalization(THEOREM_STATE)
-    assert factor == Fraction(3, 2) and radicand == Fraction(1, 3)
-    assert float(factor) * math.sqrt(radicand) == pytest.approx(
-        math.sqrt(3) / 2
-    )
 
 
 def test_density_diagonal_values():
@@ -123,8 +117,6 @@ def test_thermal_matches_complex_gaussian():
 
 
 def test_ground_oscillator():
-    osc = GroundOscillator()
-    assert osc.mass_times_frequency == 2
-    assert osc.position_spread == Fraction(1, 2)
+    # position spread 1/2: <x^2> = 1/4, <x^4> = 3/16
     assert ground_position_expectation([0, 0, 1]) == Fraction(1, 4)
     assert ground_position_expectation([0, 0, 0, 0, 1]) == Fraction(3, 16)

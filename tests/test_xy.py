@@ -7,6 +7,7 @@ import pytest
 from spinboson.boson import NormalForm
 from spinboson.bridge import boson_image
 from spinboson.parsing import parse_polynomial
+from spinboson.rationals import ComplexRational
 from spinboson.spin_core import ResourceLimitError, SpinPolynomial
 from spinboson.thermal import THEOREM_STATE, thermal_expect_weighted
 from spinboson.xy import (
@@ -14,7 +15,6 @@ from spinboson.xy import (
     XYParams,
     boson_thermal_expectation,
     effective_temperature,
-    mapped_function,
     partition_function,
     spin_thermal_dense_oracle,
     spin_thermal_expectation,
@@ -209,10 +209,14 @@ def test_spin_thermal_resource_budget():
         spin_thermal_expectation(params, 10**8, _number_op())
 
 
-def test_mapped_function_two_route_consistency():
+def test_boson_expectation_against_weighted_thermal_sum():
+    # the weight base B = 1 - 2 g on the x = 1/3 state, with each a+^m a^m
+    # divided by B^m, is a second route to the closed form
     params = XYParams(Fraction(1), Fraction(4))
     form = NormalForm({(1, 1): 3, (2, 2): Fraction(1, 2), (0, 0): 1})
-    base, mapped = mapped_function(params, form)
+    base = 1 - 2 * params.g
+    mapped = NormalForm({(m, n): ComplexRational.coerce(c) / base**m
+                         for (m, n), c in form.terms.items()})
     num = thermal_expect_weighted(THEOREM_STATE, base, mapped)
     den = thermal_expect_weighted(THEOREM_STATE, base, NormalForm.identity())
     assert (num / den).as_fraction() == boson_thermal_expectation(params, form)
