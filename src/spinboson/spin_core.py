@@ -27,6 +27,7 @@ A dense tensor-product oracle over the 2^N space checks small N.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -292,8 +293,7 @@ def _word_diag_poly(word: SpinWord) -> _Poly2 | None:
     return {k: c for k, c in poly.items() if c}
 
 
-def _p1_eval(coeffs: Sequence, x):
-    # an int start keeps one evaluator for int and mpf values
+def _p1_eval(coeffs: Sequence[int], x: int) -> int:
     v = 0
     for c in reversed(coeffs):
         v = v * x + c
@@ -346,23 +346,25 @@ def fold_diagonals(N: int, poly: SpinPolynomial):
 IDENTITY_TABLE = [[1]]
 
 
-def sector_sums(N: int, tables, weights, rho) -> list:
+def sector_sums(N: int, tables, weights, rhos) -> list:
     """Sum w_j rho(u) T(a, u) over the cells (j, m) of N sites, per table T.
 
     Tables hold T as rows[ku][ka], the coefficient of a^ka u^ku, with
-    a = 2j(2j + 2) and u = 2m.  ``weights`` yields w_j for 2j = N mod 2,
-    N mod 2 + 2, ..., N.  ``rho`` must be even in u, so the odd powers of u
-    cancel over u = -2j..2j and the even ones come from running sums of
-    rho(u) u^k over the sectors.  The arithmetic is that of the tables,
-    weights and rho: exact int multiplicities for traces (there are no
-    binary64 weights; the float trace rounds the exact one) or mpf for XY.
+    a = 2j(2j + 2) and u = 2m.  ``weights`` yields w_j and ``rhos`` yields
+    rho(2j) for 2j = N mod 2, N mod 2 + 2, ..., N.  rho must be even in u,
+    so the odd powers of u cancel over u = -2j..2j and the even ones come
+    from running sums of rho(u) u^k over the sectors.  The arithmetic is that
+    of the weights and rhos: exact int multiplicities and ones for traces
+    (there are no binary64 weights; the float trace rounds the exact one), or
+    ``decimal.Decimal`` Boltzmann factors for XY.  The table polynomials are
+    evaluated exactly at the integer a; only the weighted sums round.
     """
     evens = [rows[::2] for rows in tables]
     # moments[i]: sum of rho(u) u^(2i) over |u| <= 2j
     moments = [0] * max(len(rows) for rows in evens)
     totals = [0] * len(tables)
-    for tj, w in zip(range(N % 2, N + 1, 2), weights):
-        term = rho(tj) if tj == 0 else 2 * rho(tj)
+    for tj, w, rho in zip(range(N % 2, N + 1, 2), weights, rhos):
+        term = rho if tj == 0 else 2 * rho
         uu = tj * tj
         for i in range(len(moments)):
             moments[i] += term
@@ -428,7 +430,7 @@ def _node_values(n: int, rows) -> list:
     """Sector sums of the tables ``rows`` at n sites over the identity's 2^n."""
     *sums, total = sector_sums(
         n, rows + [IDENTITY_TABLE], (s.multiplicity for s in irrep_sectors(n)),
-        lambda u: 1)
+        itertools.repeat(1))
     return [Fraction(s, total) for s in sums]
 
 

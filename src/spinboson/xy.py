@@ -3,8 +3,10 @@
 The Hamiltonian (gamma/N)(S+S- + S-S+) is diagonal in the |j, m> basis with
 eigenvalue (2 gamma / N)(j(j+1) - m^2), so finite-N thermal expectations
 reduce to scalar Boltzmann weights against the exact diagonal polynomial of
-the observable.  On the boson side everything collapses to geometric series
-in the weighted thermal state.
+the observable.  The weights follow by recurrence from one ``exp`` per call
+and are summed in stdlib ``decimal``, with as many digits as the
+cancellation of the signed terms requires.  On the boson side everything
+collapses to geometric series in the weighted thermal state.
 
 The boson side has one reading: the exponential weight and the observable
 are normal ordered together, and H maps to the x = 1/3 oscillator at
@@ -24,12 +26,12 @@ expectation.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-import mpmath
 import numpy as np
 
 from . import spin_core
@@ -38,9 +40,14 @@ from .rationals import ComplexRational
 from .spin_core import SpinPolynomial, Z
 from .thermal import THEOREM_STATE
 
-#: decimal digits of the mpmath sum in ``spin_thermal_expectation``
+#: decimal digits of the first sum in ``spin_thermal_expectation``
 WORKING_DIGITS = 50
-#: largest N the dense XY oracle diagonalizes (a 2^N x 2^N eigenproblem)
+#: digits a result must keep beyond its estimated cancellation, or it is
+#: summed again with more
+GUARD_DIGITS = 20
+_SMALLEST_FLOAT = decimal.Decimal(math.ulp(0.0))
+#: largest N the dense XY oracle diagonalizes (by magnetization blocks of
+#: the 2^N x 2^N Hamiltonian)
 DENSE_ORACLE_CAP = 12
 
 
@@ -111,6 +118,35 @@ def _require_valid(params: XYParams) -> None:
         )
 
 
+def _boltzmann_factors(g: Fraction, N: int):
+    """Sector weights d(N, j) exp(-g a / 2N) and boundary factors
+    rho(2j) = exp(g (2j)^2 / 2N), in the current decimal context.
+
+    With x = exp(g / 2N), the ratio of consecutive sector weights is
+    x^-(4 * 2j + 8) and that of rho is x^(4 * 2j + 4); both exponents step by
+    8, so one ``exp`` serves every sector.  d(N, j) = C(N, k) - C(N, k - 1),
+    k = N/2 - j, is stepped by C(N, k - 1) = C(N, k) k / (N - k + 1) relative
+    to the first sector's C(N, k), which the ratio of two sums cancels.
+    """
+    x = (decimal.Decimal(g.numerator) / (2 * N * g.denominator)).exp()
+    tj = N % 2
+    binomial = decimal.Decimal(1)
+    weight, weight_step = x ** -(tj * (tj + 2)), x ** -(4 * tj + 8)
+    rho, rho_step = x ** (tj * tj), x ** (4 * tj + 4)
+    down, up = x ** -8, x ** 8
+    weights, rhos = [], []
+    for k in range((N - tj) // 2, -1, -1):
+        below = binomial * k / (N - k + 1)
+        weights.append((binomial - below) * weight)
+        rhos.append(rho)
+        binomial = below
+        weight *= weight_step
+        weight_step *= down
+        rho *= rho_step
+        rho_step *= up
+    return weights, rhos
+
+
 def spin_thermal_expectation(
     params: XYParams,
     N: int,
@@ -120,29 +156,51 @@ def spin_thermal_expectation(
 
     The H eigenvalue (2 gamma / N)(j(j+1) - m^2) makes the Boltzmann weight
     of a cell exp(-g a / 2N) exp(g u^2 / 2N), with a = 2j(2j + 2), u = 2m and
-    g = gamma / kT: one sector weight and one even factor in u, evaluated in
-    ``WORKING_DIGITS``-digit floating point against the exact diagonal
-    tables.  The finite-N trace exists for any parameters, but far outside
-    the bosonization bounds the signed sector terms cancel by more than the
-    working digits and the result loses accuracy: ``S-^8*S+^8`` at
-    gamma / kT = 1000, N = 16 returns 5.6e-106 against 2.4e-218.
+    g = gamma / kT: one sector weight and one even factor in u, built by
+    recurrence from a single ``exp`` and summed in ``decimal`` against the
+    exact diagonal tables.  The finite-N trace exists for any parameters, but
+    far outside the bosonization bounds the signed sector terms cancel.  The
+    same pass therefore sums a bound on the terms' magnitudes, from the table
+    of absolute coefficients.  The first pass has ``WORKING_DIGITS`` digits;
+    while fewer than ``GUARD_DIGITS`` of them survive the cancellation that
+    the bound allows, the sum is rerun with more.  A result whose rounding
+    error is below the smallest binary64 number is final too, so an
+    expectation that vanishes exactly returns 0.0.
     """
     spin_core.check_sector_budget(N, poly)
     tables = spin_core.fold_diagonals(N, poly)
     if any(imaginary for *_, imaginary in tables):
         raise ValueError("thermal expectation requires real coefficients")
-    with mpmath.workdps(WORKING_DIGITS):
-        g = mpmath.mpf(params.g.numerator) / params.g.denominator
-        weights = (s.multiplicity * mpmath.exp(-g * s.twice_j * (s.twice_j + 2)
-                                               / (2 * N))
-                   for s in spin_core.irrep_sectors(N))
-        *sums, total = spin_core.sector_sums(
-            N, [rows for rows, *_ in tables] + [spin_core.IDENTITY_TABLE],
-            weights, lambda u: mpmath.exp(g * u * u / (2 * N)))
-        num = mpmath.mpf(0)
-        for s, (_, lcd, radical, _) in zip(sums, tables):
-            num += s * (mpmath.sqrt(N) if radical else 1) / lcd
-        return float(num / total)
+    if not tables:
+        return 0.0
+    # a >= 0 and only even powers of u survive, so the absolute coefficients,
+    # with sqrt(N) rounded up, bound the sum of |terms|
+    root = 1 + math.isqrt(N - 1)
+    magnitude = [[sum(abs(rows[ku][ka]) * (root if radical else 1)
+                      for rows, _, radical, _ in tables)
+                  for ka in range(len(row))]
+                 for ku, row in enumerate(tables[0][0])]
+    digits = WORKING_DIGITS
+    while True:
+        context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX,
+                                  Emin=decimal.MIN_EMIN)
+        with decimal.localcontext(context):
+            *sums, bound, total = spin_core.sector_sums(
+                N, [rows for rows, *_ in tables]
+                + [magnitude, spin_core.IDENTITY_TABLE],
+                *_boltzmann_factors(params.g, N))
+            num = sum((s * context.sqrt(N) if radical else s
+                       for s, (_, _, radical, _) in zip(sums, tables)),
+                      decimal.Decimal(0))
+            scale = tables[0][1] * total
+            # slack bounds the rounding error of num with GUARD_DIGITS to
+            # spare: num is final when it exceeds slack, or when the error
+            # is below every binary64 number
+            slack = bound.scaleb(GUARD_DIGITS - digits)
+            if slack <= abs(num) or slack < _SMALLEST_FLOAT * scale:
+                return float(num / scale)
+            loss = bound.adjusted() - num.adjusted() + 1 if num else digits
+        digits = max(2 * digits, loss + 2 * GUARD_DIGITS)
 
 
 def spin_thermal_dense_oracle(
@@ -150,31 +208,39 @@ def spin_thermal_dense_oracle(
 ) -> float:
     """Dense tensor-product check of the finite-N thermal expectation.
 
-    Builds the 2^N Hamiltonian, diagonalizes it, and traces against the
-    dense observable in binary64; each observable word is the trace oracle's
-    exact integer product, converted once.  Refuses N above
-    ``DENSE_ORACLE_CAP`` and words whose products could leave int64.
+    H commutes with Sz, so it is block diagonal by magnetization on the 2^N
+    space.  Each block is diagonalized in binary64, and only the diagonal of
+    the observable rotated into its eigenbasis is traced against the
+    Boltzmann weights; each observable word is the trace oracle's exact
+    integer product, converted once.  Refuses N above ``DENSE_ORACLE_CAP``
+    and words whose products could leave int64.
     """
     if N > DENSE_ORACLE_CAP:
         raise spin_core.ResourceLimitError(
             f"dense XY oracle capped at N={DENSE_ORACLE_CAP}"
         )
     import scipy.linalg
+    import scipy.sparse
 
     spin_core._check_int64(N, poly.degree())
     ops = spin_core._collective_ops(N)
     splus = ops[spin_core.PLUS].astype(float)
     sminus = ops[spin_core.MINUS].astype(float)
     h = (float(params.gamma) / N) * (splus @ sminus + sminus @ splus)
-    evals, vecs = scipy.linalg.eigh(h.toarray())
-    weights = np.exp(-evals / float(params.kT))
-    obs = np.zeros((2**N, 2**N), dtype=complex)
+    obs = scipy.sparse.csr_matrix(h.shape, dtype=complex)
     for word, coeff in poly.terms.items():
-        mat = spin_core._chain(ops, word).toarray() / 2.0 ** word.count(Z)
-        obs += complex(coeff) * mat * N ** (-len(word) / 2)
-    rotated = vecs.conj().T @ obs @ vecs
-    num = float(np.real(np.sum(weights * np.diag(rotated))))
-    den = float(np.sum(weights))
+        mat = spin_core._chain(ops, word) / 2.0 ** word.count(Z)
+        obs = obs + complex(coeff) * mat * N ** (-len(word) / 2)
+    twice_sz = ops[Z].diagonal()
+    num = den = 0.0
+    for value in np.unique(twice_sz):
+        block = np.flatnonzero(twice_sz == value)
+        evals, vecs = scipy.linalg.eigh(h[block][:, block].toarray())
+        weights = np.exp(-evals / float(params.kT))
+        rotated = np.einsum("ji,ji->i", vecs.conj(),
+                            obs[block][:, block] @ vecs)
+        num += float(np.real(np.sum(weights * rotated)))
+        den += float(np.sum(weights))
     return num / den
 
 

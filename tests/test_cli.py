@@ -307,16 +307,21 @@ def _s8_per_cell_sum(gamma, kT, N, dps):
     """<S-^8 S+^8> at N sites, summed cell by cell at ``dps`` digits.
 
     S-^8 S+^8 in cell (j, m) is prod_i (j(j+1) - m_i(m_i+1)), m_i = m + i;
-    with 2j = tj and 2m_i = t this is prod (tj(tj+2) - t(t+2)) / 4^8.
+    with 2j = tj and 2m_i = t this is prod (tj(tj+2) - t(t+2)) / 4^8.  The
+    cell weight exp(-g (tj(tj+2) - tm^2) / 2N) is the product of one
+    mpmath.exp per sector and one per |tm|.
     """
     with mpmath.workdps(dps):
         g = mpmath.mpf(gamma) / kT
+        by_m = {tm: mpmath.exp(g * tm * tm / (2 * N))
+                for tm in range(N % 2, N + 1, 2)}
         num = den = mpmath.mpf(0)
         for tj in range(N % 2, N + 1, 2):
             k = (N - tj) // 2
             d = math.comb(N, k) - (math.comb(N, k - 1) if k else 0)
+            by_j = d * mpmath.exp(-g * tj * (tj + 2) / (2 * N))
             for tm in range(-tj, tj + 1, 2):
-                w = d * mpmath.exp(-g * (tj * (tj + 2) - tm * tm) / (2 * N))
+                w = by_j * by_m[abs(tm)]
                 diag = math.prod(tj * (tj + 2) - t * (t + 2)
                                  for t in range(tm, tm + 16, 2))
                 den += w
@@ -338,14 +343,13 @@ def test_xy_far_outside_bounds_against_per_cell_sum(capsys):
     assert row["expectation_spin"] == pytest.approx(want, rel=1e-13, abs=0)
 
 
-@pytest.mark.xfail(strict=True, reason="the 50 working digits of the sector "
-                   "sum do not cover its cancellation at g = 1000")
 def test_xy_precision_lost_farther_outside_bounds(capsys):
-    # the per-cell sum reads 2.376e-218 at 200 digits (and at 400); the
-    # sector sum at 50 digits returns 5.6e-106
-    want = _s8_per_cell_sum(1000, 1, 16, dps=200)
-    row = _xy_s8_row(capsys, 1000, 1, 16)
-    assert row["expectation_spin"] == pytest.approx(want, rel=1e-12, abs=0)
+    # the signed sector terms cancel by about 220 digits at g = 1000, N = 16,
+    # where the result is 2.376e-218; the sum is rerun with more digits
+    for gamma, kT, N in ((1000, 1, 16), (5000, 1, 300)):
+        want = _s8_per_cell_sum(gamma, kT, N, dps=200)
+        row = _xy_s8_row(capsys, gamma, kT, N)
+        assert row["expectation_spin"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_moments_max_l_bounded_by_binary64(capsys):
@@ -362,17 +366,15 @@ def test_moments_max_l_bounded_by_binary64(capsys):
         assert err.startswith("error:") and "197" in err
 
 
-def test_cli_commands_do_not_import_scipy():
-    # a fresh interpreter: other tests have already imported scipy here
+def _modules_after(argvs, package):
+    """Top-level ``package`` modules loaded by ``cli.main`` on each argv, in
+    a fresh interpreter: other tests have already imported them here."""
     code = (
         "import sys\n"
         "from spinboson import cli\n"
-        "for argv in (['trace', '--expr', '(S+*S- + S-*S+)^2', '--n', '50'],\n"
-        "             ['verify', '--expr', 'S+*S-', '--n-list', '50,100'],\n"
-        "             ['xy', '--gamma', '1', '--kt', '4', '--expr', 'S+*S-',\n"
-        "              '--n', '20']):\n"
+        f"for argv in {argvs!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
     src = str(Path(spinboson.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -381,7 +383,22 @@ def test_cli_commands_do_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_commands_do_not_import_scipy():
+    argvs = [["trace", "--expr", "(S+*S- + S-*S+)^2", "--n", "50"],
+             ["verify", "--expr", "S+*S-", "--n-list", "50,100"],
+             ["xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-", "--n", "20"]]
+    assert _modules_after(argvs, "scipy") == "[]"
+
+
+def test_xy_does_not_import_mpmath():
+    # inside the bounds and far outside them, where the sum is rerun
+    argvs = [["xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-", "--n", "20"],
+             ["xy", "--gamma", "1000", "--kt", "1", "--expr", "S-^8*S+^8",
+              "--n", "16"]]
+    assert _modules_after(argvs, "mpmath") == "[]"
 
 
 def test_xy_gamma_and_kt_from_config(tmp_path, capsys):

@@ -355,7 +355,7 @@ def _direct_trace(N, poly):
     tables = fold_diagonals(N, poly)
     *sums, total = sector_sums(
         N, [rows for rows, *_ in tables] + [IDENTITY_TABLE],
-        (s.multiplicity for s in irrep_sectors(N)), lambda u: 1)
+        (s.multiplicity for s in irrep_sectors(N)), [1] * (N // 2 + 1))
     parts = [[0, 0], [0, 0]]
     for (_, lcd, radical, imaginary), s in zip(tables, sums):
         parts[radical][imaginary] = Fraction(s, lcd * total)

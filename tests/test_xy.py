@@ -1,9 +1,11 @@
+import decimal
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from spinboson import spin_core
 from spinboson.boson import NormalForm
 from spinboson.bridge import boson_image
 from spinboson.parsing import parse_polynomial
@@ -11,6 +13,7 @@ from spinboson.rationals import ComplexRational
 from spinboson.spin_core import ResourceLimitError, SpinPolynomial
 from spinboson.thermal import THEOREM_STATE, thermal_expect_weighted
 from spinboson.xy import (
+    WORKING_DIGITS,
     ValidityError,
     XYParams,
     boson_thermal_expectation,
@@ -125,7 +128,7 @@ def test_spin_converges_to_joint_boson_value():
 def test_spin_thermal_against_dense_oracle():
     params = XYParams(Fraction(1), Fraction(4))
     poly = _number_op()
-    for N in (4, 7, 10):
+    for N in (4, 7, 10, 11, 12):
         fast = spin_thermal_expectation(params, N, poly)
         dense = spin_thermal_dense_oracle(params, N, poly)
         assert fast == pytest.approx(dense, rel=1e-10)
@@ -168,10 +171,14 @@ def _cell_diagonal(word, tj, tm):
     return amp if 2 * m == tm else 0.0
 
 
-@pytest.mark.parametrize("gamma, kT, N", [(4, 9, 300), (-4, 5, 301)])
+@pytest.mark.parametrize("gamma, kT, N", [
+    (4, 9, 300), (-4, 5, 301),
+    (49, 100, 1), (-9, 10, 1), (49, 100, 2), (-9, 10, 2), (-9, 10, 7),
+    (49, 100, 8)])
 def test_spin_thermal_against_per_cell_sum(gamma, kT, N):
     # every (j, m) cell with its own Boltzmann weight exp(-E / kT),
-    # E = (2 gamma / N)(j(j + 1) - m^2), and its own diagonal element
+    # E = (2 gamma / N)(j(j + 1) - m^2), and its own diagonal element; the
+    # three-letter word leaves a sqrt(N) table
     words = {("+", "-"): 1, ("-", "+"): 1, ("-", "-", "+", "+"): 2,
              ("z", "+", "-"): Fraction(1, 3)}
     poly = SpinPolynomial(dict(words))
@@ -189,6 +196,45 @@ def test_spin_thermal_against_per_cell_sum(gamma, kT, N):
         want = float(num / den)
     got = spin_thermal_expectation(XYParams(Fraction(gamma), Fraction(kT)), N, poly)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_spin_first_correction_at_large_n():
+    # N (<h>_N - 4/5) tends to c1(1/4) = 67/500, and reads 0.1340024 at 10^4
+    value = spin_thermal_expectation(XYParams(Fraction(1), Fraction(4)), 10**4,
+                                     _number_op())
+    assert 10**4 * (value - 0.8) == pytest.approx(0.1340024, rel=1e-6)
+
+
+def _kernel_precisions(monkeypatch, params, N, poly):
+    """The value of one call and the decimal precision of each sector sum
+    it makes."""
+    precisions = []
+    kernel = spin_core.sector_sums
+
+    def counted(*args):
+        precisions.append(decimal.getcontext().prec)
+        return kernel(*args)
+
+    monkeypatch.setattr(spin_core, "sector_sums", counted)
+    return spin_thermal_expectation(params, N, poly), precisions
+
+
+def test_sum_reruns_only_when_its_terms_cancel(monkeypatch):
+    inside = XYParams(Fraction(49, 100), Fraction(1))
+    for N in (1, 64, 1000):
+        _, precisions = _kernel_precisions(monkeypatch, inside, N, _number_op())
+        assert precisions == [WORKING_DIGITS]
+    # far outside the bounds the terms cancel by well over 50 digits
+    s8 = parse_polynomial("S-^8*S+^8")
+    far = XYParams(Fraction(1000), Fraction(1))
+    value, precisions = _kernel_precisions(monkeypatch, far, 16, s8)
+    assert 0 < value < 1e-200
+    assert precisions[0] == WORKING_DIGITS and len(precisions) > 1
+    assert all(2 * p <= q for p, q in zip(precisions, precisions[1:]))
+    # S+^8 annihilates every sector of 5 sites; rounding leaves a residue at
+    # every precision, until it falls below the smallest binary64 number
+    value, precisions = _kernel_precisions(monkeypatch, far, 5, s8)
+    assert value == 0.0 and len(precisions) <= 5
 
 
 def test_sz_observable_tends_to_its_boson_image():
