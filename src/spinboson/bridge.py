@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import moments, spin_core, thermal
 from .boson import BosonSymbol, NormalForm, normal_order_symbol
 from .rationals import ComplexRational
-from .spin_core import MINUS, PLUS, Z, SpinPolynomial
+from .spin_core import Z, SpinPolynomial
 
 MAX_ORDERING_LETTERS = 10
 
@@ -61,24 +61,21 @@ def fit_decay_rate(n_values: Sequence[int], errors: Sequence[float]):
     return float(-slope)
 
 
-def boson_image(poly: SpinPolynomial) -> NormalForm:
-    """Normal-ordered image of a spin polynomial.
+def boson_image(poly) -> NormalForm:
+    """Normal-ordered image of a spin polynomial (a tree or a SpinPolynomial).
 
     A word with p S+, q S- and r Sz letters maps to <eta^r> z*^p z^q: S+ and
     S- become the commuting symbols of the x = 1/3 thermal mode, and Sz the
     position eta of the ground oscillator, a sigma = 1/2 Gaussian independent
     of that mode in the limit, which leaves only its moment (zero for odd r).
-    Ordering information is discarded (it is O(1/N)) and the symbol is then
-    re-typed with creation operators on the left.
+    Ordering, O(1/N), is discarded: the letters are counted as commuting, and
+    the moments, not multiplicative in r, are taken last.
     """
-    sym_terms: Dict = {}
-    for word, coeff in poly.terms.items():
-        r = word.count(Z)
-        if r % 2:
-            continue  # odd moments of eta vanish
-        key = (word.count(PLUS), word.count(MINUS))
-        term = coeff * moments.limit_moment(r // 2)
-        sym_terms[key] = sym_terms.get(key, ComplexRational(0)) + term
+    sym_terms = {}
+    for (p, q, r), coeff in spin_core.letter_counts(poly).items():
+        if r % 2 == 0:  # odd moments of eta vanish
+            term = coeff * moments.limit_moment(r // 2)
+            sym_terms[p, q] = sym_terms.get((p, q), ComplexRational(0)) + term
     return normal_order_symbol(BosonSymbol(sym_terms))
 
 
@@ -92,12 +89,14 @@ def verify_theorem(
     The limit is the x = 1/3 thermal expectation of ``boson_image(poly)``;
     any spin polynomial with a real limit is accepted.
     """
-    boson = thermal.thermal_expect(thermal.THEOREM_STATE, boson_image(poly))
-    if not boson.is_real:
-        raise ValueError(f"boson-side value {boson} is not real")
     n_values = list(n_values)
     if n_values != sorted(n_values):
         raise ValueError("N values must be ascending")
+    for n in n_values:
+        spin_core.check_trace_budget(n, poly)
+    boson = thermal.thermal_expect(thermal.THEOREM_STATE, boson_image(poly))
+    if not boson.is_real:
+        raise ValueError(f"boson-side value {boson} is not real")
     results = [spin_core.normalized_trace(n, poly, digits=digits)
                for n in n_values]
     return ConvergenceReport(
@@ -121,17 +120,9 @@ def ordering_sensitivity(poly: SpinPolynomial, N: int) -> float:
                 f"word of length {len(word)} exceeds the ordering cap "
                 f"{MAX_ORDERING_LETTERS}"
             )
-        values = []
-        for variant in sorted(set(itertools.permutations(word))):
-            res = spin_core.normalized_trace(
-                N, SpinPolynomial({variant: coeff})
-            )
-            values.append(res.approx())
-        if values:
-            spread = max(
-                abs(v1 - v2) for v1 in values for v2 in values
-            )
-            worst = max(worst, spread)
+        values = [spin_core.normalized_trace(N, SpinPolynomial({variant: coeff})).approx()
+                  for variant in sorted(set(itertools.permutations(word)))]
+        worst = max(worst, *(abs(v1 - v2) for v1 in values for v2 in values))
     return worst
 
 

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import bridge, moments, spin_core, xy
-from .parsing import parse_polynomial, render_polynomial
+from .parsing import parse_expression, render_polynomial
 from .spin_core import ResourceLimitError
 
 
@@ -138,11 +138,10 @@ def _emit(args, payload: dict, text: str, csv_rows=None) -> None:
 
 
 def _per_n_command(args, command: str, inputs: dict, step) -> None:
-    """Emit ``step(n, poly)`` -> (text line, row) for each requested N."""
-    poly = parse_polynomial(_require(args, "expr"))
+    """Emit ``step(n)`` -> (text line, row) for each requested N."""
     lines, rows = [], []
     for n in _n_values(args):
-        line, row = step(n, poly)
+        line, row = step(n)
         lines.append(line)
         rows.append(row)
     _emit(
@@ -156,9 +155,11 @@ def _per_n_command(args, command: str, inputs: dict, step) -> None:
 
 
 def _cmd_trace(args) -> None:
-    def step(n, poly):
+    expr = parse_expression(_require(args, "expr"))
+
+    def step(n):
         res = spin_core.normalized_trace(
-            n, poly, digits=args.digits, use_float=args.float_path
+            n, expr, digits=args.digits, use_float=args.float_path
         )
         tag = " [float path]" if res.float_path else ""
         return (f"N={n}: {res.decimal}{tag}",
@@ -193,8 +194,8 @@ def _cmd_moments(args) -> None:
 
 
 def _cmd_verify(args) -> None:
-    poly = parse_polynomial(_require(args, "expr"))
-    report = bridge.verify_theorem(poly, _n_values(args), digits=args.digits)
+    expr = parse_expression(_require(args, "expr"))
+    report = bridge.verify_theorem(expr, _n_values(args), digits=args.digits)
     lines = []
     for n, dec, err in zip(report.n_values, report.spin_decimals,
                            report.abs_errors):
@@ -250,12 +251,12 @@ def _cmd_xy(args) -> None:
             row["T_eff"] = xy.effective_temperature(params)
             lines.append(f"T_eff = {row['T_eff']:.6g}")
     if args.expr and n is not None:
-        poly = parse_polynomial(args.expr)
-        row["expectation_spin"] = xy.spin_thermal_expectation(params, n, poly)
+        expr = parse_expression(args.expr)
+        row["expectation_spin"] = xy.spin_thermal_expectation(params, n, expr)
         lines.append(f"<f>_spin(N={n}) = {row['expectation_spin']:.10g}")
         if report.passed:
             row["expectation_boson"] = float(xy.boson_thermal_expectation(
-                params, bridge.boson_image(poly)))
+                params, bridge.boson_image(expr)))
             lines.append(f"<f>_boson = {row['expectation_boson']:.10g}")
     _emit(
         args,
@@ -269,8 +270,9 @@ def _cmd_xy(args) -> None:
 
 
 def _cmd_normal_order(args) -> None:
-    poly = parse_polynomial(_require(args, "expr"))
-    form = bridge.boson_image(poly)
+    expr = parse_expression(_require(args, "expr"))
+    poly = expr.words()
+    form = bridge.boson_image(expr)
     text = form.render()
     _emit(
         args,
@@ -283,10 +285,13 @@ def _cmd_normal_order(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    def step(n, poly):
-        engine = spin_core.normalized_trace(n, poly, digits=args.digits)
+    expr = parse_expression(_require(args, "expr"))
+    words = expr.words()  # the dense side multiplies words out
+
+    def step(n):
+        engine = spin_core.normalized_trace(n, expr, digits=args.digits)
         dense = spin_core.dense_oracle_trace(
-            n, poly, digits=args.digits, cap=args.oracle_cap
+            n, words, digits=args.digits, cap=args.oracle_cap
         )
         if engine.exact != dense.exact or engine.sqrt_n != dense.sqrt_n:
             raise ValueError(f"oracle mismatch at N={n}")

@@ -8,8 +8,8 @@ Grammar (whitespace-insensitive)::
     atom   := 'S+' | 'S-' | 'Sz' | number | '(' expr ')' | '-' atom
     number := integer ('/' integer)?
 
-Every operator letter carries the implicit 1/sqrt(N) scaling applied at
-trace time.
+The parser builds an expression tree; ``parse_polynomial`` multiplies it out.
+Every letter carries the implicit 1/sqrt(N) scaling applied at trace time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from .spin_core import MINUS, PLUS, SpinPolynomial, Z
+from .spin_core import MINUS, PLUS, Expr, SpinPolynomial, Z, node
 
 
 class ParseError(ValueError):
@@ -51,20 +51,17 @@ def _tokenize(expr: str) -> List[_Token]:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}",
                              len(expr) - len(stripped))
-        if match.lastgroup == "letter":
-            tokens.append(_Token("letter", match.group("letter"), match.start()))
-        elif match.lastgroup == "number":
-            tokens.append(_Token("number", match.group("number"), match.start()))
-        else:
-            op = match.group("op")
-            kind = {"(": "lparen", ")": "rparen"}.get(op, "op")
-            tokens.append(_Token(kind, op, match.start()))
+        kind, text = match.lastgroup, match.group(match.lastgroup)
+        if kind == "op":
+            kind = {"(": "lparen", ")": "rparen"}.get(text, "op")
+        tokens.append(_Token(kind, text, match.start()))
         pos = match.end()
     tokens.append(_Token("end", "", len(expr)))
     return tokens
 
 
 _LETTER_MAP = {"S+": PLUS, "S-": MINUS, "Sz": Z}
+_MINUS_ONE = node("constant", -1)
 
 
 class _Parser:
@@ -83,27 +80,26 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end'!r}",
+            raise ParseError(f"expected {text or kind!r}, found {tok.text or 'end'!r}",
                              tok.pos)
         return self.advance()
 
-    def parse_expr(self) -> SpinPolynomial:
-        value = self.parse_term()
+    def parse_expr(self) -> Expr:
+        terms = [self.parse_term()]
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            terms.append(rhs if op == "+" else node("product", _MINUS_ONE, rhs))
+        return terms[0] if len(terms) == 1 else node("sum", *terms)
 
-    def parse_term(self) -> SpinPolynomial:
-        value = self.parse_factor()
+    def parse_term(self) -> Expr:
+        factors = [self.parse_factor()]
         while self.peek().kind == "op" and self.peek().text == "*":
             self.advance()
-            value = value * self.parse_factor()
-        return value
+            factors.append(self.parse_factor())
+        return factors[0] if len(factors) == 1 else node("product", *factors)
 
-    def parse_factor(self) -> SpinPolynomial:
+    def parse_factor(self) -> Expr:
         value = self.parse_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             tok = self.advance()
@@ -111,17 +107,17 @@ class _Parser:
             if exp.kind != "number":
                 raise ParseError("expected integer exponent", tok.pos + 1)
             self.advance()
-            value = value ** int(exp.text)
+            value = node("power", value, int(exp.text))
         return value
 
-    def parse_atom(self) -> SpinPolynomial:
+    def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return -self.parse_atom()
+            return node("product", _MINUS_ONE, self.parse_atom())
         if tok.kind == "letter":
             self.advance()
-            return SpinPolynomial.from_word((_LETTER_MAP[tok.text],))
+            return node("letter", _LETTER_MAP[tok.text])
         if tok.kind == "number":
             self.advance()
             value = Fraction(int(tok.text))
@@ -134,7 +130,7 @@ class _Parser:
                 if int(den.text) == 0:
                     raise ParseError("zero denominator", den.pos)
                 value /= int(den.text)
-            return SpinPolynomial({(): value})
+            return node("constant", value)
         if tok.kind == "lparen":
             self.advance()
             inner = self.parse_expr()
@@ -143,12 +139,17 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text or 'end'!r}", tok.pos)
 
 
-def parse_polynomial(expr: str) -> SpinPolynomial:
-    """Parse an expression over S+, S-, Sz into an exact SpinPolynomial."""
+def parse_expression(expr: str) -> Expr:
+    """Parse an expression over S+, S-, Sz into its tree."""
     parser = _Parser(_tokenize(expr))
     value = parser.parse_expr()
     parser.expect("end")
     return value
+
+
+def parse_polynomial(expr: str) -> SpinPolynomial:
+    """Parse an expression over S+, S-, Sz into an exact SpinPolynomial."""
+    return parse_expression(expr).words()
 
 
 _LETTER_NAMES = {PLUS: "S+", MINUS: "S-", Z: "Sz"}
@@ -162,8 +163,6 @@ def render_polynomial(poly: SpinPolynomial) -> str:
     for word in sorted(poly.terms, key=lambda w: (len(w), w)):
         coeff = poly.terms[word]
         factors = [_render_coeff(coeff)] if coeff != 1 or not word else []
-        if coeff == 1 and not word:
-            factors = ["1"]
         factors.extend(_LETTER_NAMES[ch] for ch in word)
         parts.append("*".join(factors))
     return " + ".join(parts)

@@ -145,12 +145,6 @@ class CoefficientMap:
             out[key] = out.get(key, ComplexRational(0)) + c
         return type(self)(out)
 
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, scalar):
         c = ComplexRational.coerce(scalar)
         return type(self)({k: c * v for k, v in self.terms.items()})

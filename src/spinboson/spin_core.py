@@ -7,32 +7,32 @@ so the normalized trace of a word of length L is
 
     2^{-N} N^{-L/2} sum_j d(N, j) tr_j(word).
 
-The per-sector trace is evaluated symbolically.  Diagonal matrix elements do
-not change under a diagonal similarity, so each word is walked in the
-Dyson-Maleev gauge (S+ with amplitude 1, S- with j(j+1) - m(m-1), Sz with m),
-where 2^L times the diagonal of a length-L word is a polynomial in
-a = 4j(j+1) and u = 2m with integer coefficients.  ``fold_diagonals`` sums
-these polynomials, with their coefficients and letter scales, into integer
-tables over one common denominator, and ``sector_sums`` sums a table against
-a weight over every (j, m) cell in one pass over the sectors, from running
-sums of the even powers of m.  The exact trace and the XY thermal expectation
-differ only in that weight; the binary64 trace rounds the exact one.  Every
-site operator is traceless, so 2^{-n} tr_n of an L-letter word is a
-polynomial in n of degree <= L/2 for all n >= 1: above ``CROSSOVER_N`` sites
-the tables folded at N are summed at n = 1 ... L/2 + 2 only, and the exact
-polynomial through all but the last node, which checks it, is evaluated at N.
-A dense tensor-product oracle over the 2^N space checks small N.
+The per-sector trace is evaluated symbolically: an expression tree is
+evaluated in the Dyson-Maleev gauge, where the diagonal of each part is a
+polynomial in a = 4j(j+1) and u = 2m with integer coefficients.
+``fold_diagonals`` sums these polynomials, with their letter scales, into
+integer tables over one common denominator, and ``sector_sums`` sums a table
+against a weight over every (j, m) cell in one pass over the sectors, from
+running sums of the even powers of m.  The exact trace and the XY thermal
+expectation differ only in that weight; the binary64 trace rounds the exact
+one.  Every site operator is traceless, so 2^{-n} tr_n of an L-letter word is
+a polynomial in n of degree <= L/2 for all n >= 1: above ``CROSSOVER_N``
+sites the tables folded at N are summed at n = 1 ... L/2 + 2 only, and the
+exact polynomial through all but the last node, which checks it, is
+evaluated at N.  A dense tensor-product oracle over the 2^N space checks
+small N.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -47,15 +47,16 @@ LETTERS = (PLUS, MINUS, Z)
 SpinWord = Tuple[str, ...]
 
 DEFAULT_ORACLE_CAP = 14
-#: budget on (sector dimension) x (total word degree) for a sum over sectors
-MAX_TRACE_CELLS = 10**8
 #: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
 MAX_WORD_LETTERS = 64
 #: largest N whose trace sums every sector, at most 8256 cells; above it only
 #: the interpolation nodes n <= MAX_WORD_LETTERS // 2 + 2 are summed
 CROSSOVER_N = 2 * MAX_WORD_LETTERS
-#: budget on the estimated number of terms in a power p**k
+#: budget on the estimated number of terms in a power p**k of words
 MAX_POWER_TERMS = 10**6
+#: budget on shifts x letter counts x (a, u) monomials of an expression, about
+#: 4 s of shift algebra at most (1-2 us per entry on a 2-vCPU VM, Python 3.11)
+MAX_ALGEBRA_CELLS = 2 * 10**6
 
 
 class ResourceLimitError(Exception):
@@ -69,23 +70,18 @@ def _check_word_length(length: int) -> None:
         )
 
 
-def check_trace_budget(N: int, poly: "SpinPolynomial") -> None:
-    """Refuse a trace of ``poly`` at N sites before any work is done."""
+def check_trace_budget(N: int, poly) -> None:
+    """Refuse a trace of ``poly`` (a tree or a SpinPolynomial) at N sites before
+    any work: terms of too many letters, or a shift-algebra key space (shifts x
+    letter counts x (a, u) monomials) above ``MAX_ALGEBRA_CELLS``."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    _check_word_length(poly.degree())
-
-
-def check_sector_budget(N: int, poly: "SpinPolynomial") -> None:
-    """``check_trace_budget`` plus the (N + 1) x degree cells of a sum over
-    every sector."""
-    check_trace_budget(N, poly)
-    degree = poly.degree()
-    if (N + 1) * max(1, degree) > MAX_TRACE_CELLS:
-        raise ResourceLimitError(
-            f"sector dimension {N + 1} x degree {degree} exceeds "
-            f"budget {MAX_TRACE_CELLS}"
-        )
+    expr = expression(poly)
+    _check_word_length(d := expr.degree)
+    cells = (expr.high - expr.low + 1) * (d - expr.least + 1) * (d // 2 + 1) * (d + 1)
+    if cells > MAX_ALGEBRA_CELLS:
+        raise ResourceLimitError(f"a predicted {cells} operator entries exceed "
+                                 f"the budget of {MAX_ALGEBRA_CELLS}")
 
 
 def _check_word(word: Sequence[str]) -> SpinWord:
@@ -195,6 +191,64 @@ class SpinPolynomial(CoefficientMap):
         return "SpinPolynomial(" + " + ".join(parts) + ")"
 
 
+class Expr(NamedTuple):
+    """A node of a parsed expression, built by ``node``: terms of ``least`` to
+    ``degree`` letters, shifting m by ``low`` ... ``high`` (S+ +1, S- -1), with
+    den times their coefficients Gaussian integers."""
+
+    kind: str
+    args: tuple
+    degree: int
+    least: int
+    low: int
+    high: int
+    den: int
+
+    def words(self) -> SpinPolynomial:
+        """The word expansion; each ``^`` is refused above ``MAX_POWER_TERMS``."""
+        if self.kind in ("letter", "constant"):
+            return SpinPolynomial({self.args: 1} if self.kind == "letter"
+                                  else {(): self.args[0]})
+        if self.kind == "power":
+            return self.args[0].words() ** self.args[1]
+        return functools.reduce(operator.add if self.kind == "sum" else operator.mul,
+                                (child.words() for child in self.args))
+
+
+def node(kind: str, *args) -> Expr:
+    """The node ('letter', ch), ('constant', c), ('sum', *terms), ('product',
+    *factors; they act right to left, like a word) or ('power', base, k); a
+    power of more than ``MAX_WORD_LETTERS`` letters is refused before it is built."""
+    if kind == "letter":
+        shift = {PLUS: 1, MINUS: -1, Z: 0}[args[0]]
+        return Expr(kind, args, degree=1, least=1, low=shift, high=shift, den=1)
+    if kind == "constant":
+        c = ComplexRational.coerce(args[0])
+        return Expr(kind, (c,), degree=0, least=0, low=0, high=0,
+                    den=math.lcm(c.re.denominator, c.im.denominator))
+    if kind == "power":
+        base, k = args
+        _check_word_length(k * base.degree)
+        return Expr(kind, args, degree=k * base.degree, least=k * base.least,
+                    low=k * base.low, high=k * base.high, den=base.den**k)
+    if kind == "sum":
+        return Expr(kind, args, degree=max(t.degree for t in args),
+                    least=min(t.least for t in args), low=min(t.low for t in args),
+                    high=max(t.high for t in args), den=math.lcm(*(t.den for t in args)))
+    return Expr(kind, args, degree=sum(f.degree for f in args),
+                least=sum(f.least for f in args), low=sum(f.low for f in args),
+                high=sum(f.high for f in args), den=math.prod(f.den for f in args))
+
+
+def expression(poly) -> Expr:
+    """A tree as it is, or a SpinPolynomial as its sum of words."""
+    if isinstance(poly, Expr):
+        return poly
+    terms = [node("product", node("constant", c), *(node("letter", ch) for ch in word))
+             for word, c in poly.terms.items()]
+    return node("sum", *terms) if terms else node("constant", 0)
+
+
 # ---------------------------------------------------------------------------
 # Irrep bookkeeping
 # ---------------------------------------------------------------------------
@@ -248,49 +302,112 @@ def irrep_sectors(N: int) -> Iterator[IrrepSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic per-word trace machinery
+# The Dyson-gauge shift algebra
 #
-# Variables: a = 2j(2j+2) (so j(j+1) = a/4) and u = 2m.  A diagonal similarity
-# leaves every diagonal matrix element of a word unchanged, so words are
-# walked in the Dyson-Maleev gauge, where S+ moves m up with amplitude 1,
-# S- moves it down with amplitude j(j+1) - m(m-1) = (a - u(u-2))/4 and Sz
-# multiplies by m = u/2.  Times 2^L, the diagonal of a length-L word is then
-# a polynomial in (a, u) with integer coefficients.
+# With a = 2j(2j+2) and u = 2m, a diagonal similarity (the Dyson-Maleev gauge)
+# makes 2S+ a shift of m by +1 with coefficient 1, 2S- a shift by -1 with
+# a - u(u-2) = 4(j(j+1) - m(m-1)), and 2Sz the factor u.  An operator maps
+# (shift, letter count L, imaginary part) to an integer polynomial in (a, u):
+# den times a tree node, 2^L times each L-letter part.  Products act right to
+# left, (PQ)_{s+t}(u) = P_s(u + 2t) Q_t(u), and drop the shifts that the
+# factors still to come cannot undo; a trace sees shift 0 only, exact in every
+# cell, since a walk past |m| = j must step back where S- vanishes.
 # ---------------------------------------------------------------------------
 
 _Poly2 = Dict[Tuple[int, int], int]
+#: shift and polynomial of 2 S+, 2 S- and 2 Sz
+_LETTER_OPS = {PLUS: (1, {(0, 0): 1}), Z: (0, {(0, 1): 1}),
+               MINUS: (-1, {(1, 0): 1, (0, 2): -1, (0, 1): 2})}
+
+
+def _shifted(poly: _Poly2, d: int) -> _Poly2:
+    """poly(a, u + d), without zero terms."""
+    out: _Poly2 = {}
+    for (ka, ku), c in poly.items():
+        for k in range(ku + 1):
+            out[ka, k] = out.get((ka, k), 0) + c * math.comb(ku, k) * d ** (ku - k)
+    return {k: c for k, c in out.items() if c}
+
+
+def _times(p, q, lo: int, hi: int):
+    """The operator product p q, keeping the shifts lo ... hi."""
+    out = {}
+    for (t, lq, iq), qpoly in q.items():
+        for (s, lp, ip), ppoly in p.items():
+            if not lo <= s + t <= hi:
+                continue
+            target = out.setdefault((s + t, lp + lq, (ip + iq) % 2), {})
+            for (a1, u1), c1 in (_shifted(ppoly, 2 * t) if t else ppoly).items():
+                c1 *= -1 if ip and iq else 1  # i * i
+                for (a2, u2), c2 in qpoly.items():
+                    k = a1 + a2, u1 + u2
+                    target[k] = target.get(k, 0) + c1 * c2
+    return out
+
+
+def _operator(expr: Expr, lo: int, hi: int, letters=_LETTER_OPS):
+    """den times ``expr`` in the shift algebra, keeping the shifts lo ... hi."""
+    kind, args = expr.kind, expr.args
+    if kind == "letter":
+        shift, poly = letters[args[0]]
+        return {(shift, 1, 0): poly} if lo <= shift <= hi else {}
+    if kind == "constant":
+        c = args[0]
+        parts = [p.numerator * expr.den // p.denominator for p in (c.re, c.im)]
+        return {(0, 0, i): {(0, 0): p}
+                for i, p in enumerate(parts) if p and lo <= 0 <= hi}
+    if kind == "sum":
+        out = {}
+        for term in args:
+            for key, poly in _operator(term, lo, hi, letters).items():
+                target, scale = out.setdefault(key, {}), expr.den // term.den
+                for k, c in poly.items():
+                    target[k] = target.get(k, 0) + scale * c
+        return out
+    # a product or a power (a right fold): factors keep what the others can undo
+    factors = reversed(args) if kind == "product" else itertools.repeat(*args)
+    low_left, high_left = expr.low, expr.high  # of the factors left of f
+    values, acc = {}, {(0, 0, 0): {(0, 0): 1}} if lo <= 0 <= hi else {}
+    for i, f in enumerate(factors):
+        low_left, high_left = low_left - f.low, high_left - f.high
+        if id(f) not in values:
+            values[id(f)] = _operator(f, lo - expr.high + f.high, hi - expr.low + f.low,
+                                      letters)
+        acc = (values[id(f)] if i == 0
+               else _times(values[id(f)], acc, lo - high_left, hi - low_left))
+    return acc
+
+
+def _sector_trace_poly(expr: Expr) -> Dict[Tuple[int, int], _Poly2]:
+    """The shift-0 part of den times ``expr``: {(L, imaginary part): poly}."""
+    return {(L, i): {k: c for k, c in poly.items() if c}
+            for (_, L, i), poly in _operator(expr, 0, 0).items() if any(poly.values())}
+
+
+#: commuting letters: p S+, q S- and r Sz give shift p - q, count p + q + r, a^r
+_COUNTING_LETTERS = {PLUS: (1, {(0, 0): 1}), MINUS: (-1, {(0, 0): 1}),
+                     Z: (0, {(1, 0): 1})}
+
+
+def letter_counts(poly) -> Dict[Tuple[int, int, int], ComplexRational]:
+    """The coefficient of each letter count (#S+, #S-, #Sz) in ``poly``, a tree
+    or a SpinPolynomial, with its letters taken to commute."""
+    expr, out = expression(poly), {}
+    counted = _operator(expr, expr.low, expr.high, _COUNTING_LETTERS)
+    for (s, L, imaginary), powers in counted.items():
+        for (r, _), c in powers.items():
+            part = Fraction(c, expr.den)
+            key = (L - r + s) // 2, (L - r - s) // 2, r
+            term = ComplexRational(0, part) if imaginary else ComplexRational(part)
+            out[key] = out.get(key, ComplexRational(0)) + term
+    return out
 
 
 def _word_diag_poly(word: SpinWord) -> _Poly2 | None:
-    """2^L times the diagonal element of a length-L word, a polynomial in (a, u).
-
-    Returns None when the word changes m, i.e. the diagonal vanishes
-    identically.  The walk runs right to left at offset d from u; a walk that
-    leaves |m| <= j must step back down across m = +-j, where the S- amplitude
-    vanishes, so the polynomial is exact in every cell of every sector.
-    """
-    if word.count(PLUS) != word.count(MINUS):
-        return None
-    d = 0
-    poly: _Poly2 = {(0, 0): 1}
-    for ch in reversed(word):
-        if ch == PLUS:
-            d += 2
-            continue
-        # (a power, u power, coefficient) of the factor
-        if ch == MINUS:  # a - (u+d)(u+d-2)
-            factor = ((1, 0, 1), (0, 2, -1), (0, 1, 2 - 2 * d), (0, 0, d * (2 - d)))
-            d -= 2
-        else:  # u + d
-            factor = ((0, 1, 1), (0, 0, d))
-        out: _Poly2 = {}
-        for (ka, ku), c in poly.items():
-            for la, lu, f in factor:
-                if f:
-                    key = (ka + la, ku + lu)
-                    out[key] = out.get(key, 0) + c * f
-        poly = out
-    return {k: c for k, c in poly.items() if c}
+    """2^L times the diagonal element of a length-L word, a polynomial in (a, u);
+    None when the word changes m, i.e. the diagonal vanishes identically."""
+    letters = (node("letter", ch) for ch in word)
+    return _sector_trace_poly(node("product", *letters)).get((len(word), 0))
 
 
 def _p1_eval(coeffs: Sequence[int], x: int) -> int:
@@ -305,39 +422,32 @@ def letter_scale(N: int, L: int) -> Tuple[int, bool]:
     return N ** ((L + 1) // 2), L % 2 == 1
 
 
-def fold_diagonals(N: int, poly: SpinPolynomial):
-    """The diagonal of ``poly`` at N sites as integer tables in (a, u).
+def fold_diagonals(N: int, poly):
+    """The diagonal of ``poly``, a tree or a SpinPolynomial, at N sites.
 
-    Every word's diagonal polynomial, its coefficient and its letter scale
-    N^{-L/2} are summed exactly, one table for each combination of a
-    rational or sqrt(N) scale and a real or imaginary coefficient part.  All
-    tables share the denominator 2^L N^{ceil(L/2)} lcm(coefficient
-    denominators), L the degree of ``poly``.  Returns (rows, denominator,
-    radical, imaginary) for each nonzero table; rows[ku][ka] / denominator is
-    the coefficient of a^ka u^ku.
+    The diagonal polynomials in (a, u) of every letter count L, with their
+    scales N^{-L/2}, are summed exactly into integer tables, one for each
+    combination of a rational or sqrt(N) scale and a real or imaginary part,
+    over one denominator in lowest terms: (rows, denominator, radical,
+    imaginary), rows[ku][ka] / denominator the coefficient of a^ka u^ku.
     """
-    degree = poly.degree()
-    lcd = math.lcm(*(part.denominator for c in poly.terms.values()
-                     for part in (c.re, c.im)))
+    expr = expression(poly)
+    diagonal = _sector_trace_poly(expr)
+    degree = max((L for L, _ in diagonal), default=0)
     top = letter_scale(N, degree)[0]
     tables = {}
-    for word, coeff in poly.terms.items():
-        dp = _word_diag_poly(word)
-        if dp is None:
-            continue
-        divisor, radical = letter_scale(N, len(word))
-        scale = 2 ** (degree - len(word)) * (top // divisor)
-        for imaginary, part in enumerate((coeff.re, coeff.im)):
-            if not part:
-                continue
-            rows = tables.setdefault(
-                (radical, imaginary),
-                [[0] * (degree // 2 + 1) for _ in range(degree + 1)])
-            factor = scale * part.numerator * (lcd // part.denominator)
-            for (ka, ku), c in dp.items():
-                rows[ku][ka] += factor * c
-    denominator = 2 ** degree * top * lcd
-    return [(rows, denominator, radical, imaginary)
+    for (L, imaginary), dp in diagonal.items():
+        divisor, radical = letter_scale(N, L)
+        scale = 2 ** (degree - L) * (top // divisor)
+        rows = tables.setdefault((radical, imaginary),
+                                 [[0] * (degree // 2 + 1) for _ in range(degree + 1)])
+        for (ka, ku), c in dp.items():
+            rows[ku][ka] += scale * c
+    denominator = 2**degree * top * expr.den
+    common = math.gcd(denominator, *(c for rows in tables.values()
+                                     for row in rows for c in row))
+    return [([[c // common for c in row] for row in rows], denominator // common,
+             radical, imaginary)
             for (radical, imaginary), rows in sorted(tables.items())
             if any(any(row) for row in rows)]
 
@@ -458,12 +568,8 @@ def _interpolated_values(N: int, rows, degree: int) -> list:
     return out
 
 
-def normalized_trace(
-    N: int,
-    poly: SpinPolynomial,
-    digits: int = 12,
-    use_float: bool = False,
-) -> TraceResult:
+def normalized_trace(N: int, poly, digits: int = 12,
+                     use_float: bool = False) -> TraceResult:
     """Exact 2^{-N} trace of a polynomial with 1/sqrt(N) per letter.
 
     Up to ``CROSSOVER_N`` sites the N + 1 sectors are summed directly; above
@@ -471,11 +577,12 @@ def normalized_trace(
     Set ``use_float`` to round the exact value to binary64; the result is
     then labeled with ``float_path=True`` and ``exact`` holds the rounding.
     """
-    check_trace_budget(N, poly)
-    tables = fold_diagonals(N, poly)
+    expr = expression(poly)
+    check_trace_budget(N, expr)
+    tables = fold_diagonals(N, expr)
     rows = [table[0] for table in tables]
     values = (_node_values(N, rows) if N <= CROSSOVER_N
-              else _interpolated_values(N, rows, poly.degree()))
+              else _interpolated_values(N, rows, len(rows[0]) - 1 if rows else 0))
     parts = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
     for (_, lcd, radical, imaginary), v in zip(tables, values):
         parts[radical][imaginary] = v / lcd
@@ -498,27 +605,26 @@ def _normalized_trace_float(N: int, exact, sqrt_n, digits: int) -> TraceResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16)
 def _collective_ops(N: int):
-    """Sparse integer collective operators S+, S-, 2*Sz on the 2^N space."""
+    """Sparse integer collective operators S+, S-, 2*Sz on the 2^N space.
+
+    Bit b of a basis index is 0 when its site is up.  S+ clears one set bit,
+    so it has a 1 at (i - 2^b, i) for each set bit b of i; S- is its
+    transpose, and 2 Sz is diagonal with N - 2 popcount(i).
+    """
     import scipy.sparse as sp
 
-    sp_site = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=np.int64))
-    sm_site = sp_site.T.tocsr()
-    sz2_site = sp.csr_matrix(np.array([[1, 0], [0, -1]], dtype=np.int64))
-    eye = sp.identity(2, dtype=np.int64, format="csr")
-
-    def collective(site_op):
-        total = sp.csr_matrix((2**N, 2**N), dtype=np.int64)
-        for k in range(N):
-            mat = site_op if k == 0 else eye
-            for i in range(1, N):
-                mat = sp.kron(mat, site_op if i == k else eye, format="csr")
-            total = total + mat
-        return total.tocsr()
-
-    return {PLUS: collective(sp_site), MINUS: collective(sm_site),
-            Z: collective(sz2_site)}
+    index = np.arange(2**N, dtype=np.int64)
+    down = [index[(index >> b) & 1 == 1] for b in range(N)]
+    cols = np.concatenate(down)
+    rows = np.concatenate([c - (1 << b) for b, c in enumerate(down)])
+    splus = sp.csr_matrix((np.ones(len(cols), np.int64), (rows, cols)),
+                          shape=(2**N, 2**N))
+    twice_sz = sp.diags(N - 2 * sum((index >> b) & 1 for b in range(N)),
+                        format="csr", dtype=np.int64)
+    twice_sz.eliminate_zeros()
+    return {PLUS: splus, MINUS: splus.T.tocsr(), Z: twice_sz}
 
 
 def _check_int64(N: int, L: int) -> None:

@@ -46,6 +46,8 @@ WORKING_DIGITS = 50
 #: summed again with more
 GUARD_DIGITS = 20
 _SMALLEST_FLOAT = decimal.Decimal(math.ulp(0.0))
+#: budget on (N + 1) x degree, the cells of a sum over every sector
+MAX_TRACE_CELLS = 10**8
 #: largest N the dense XY oracle diagonalizes (by magnetization blocks of
 #: the 2^N x 2^N Hamiltonian)
 DENSE_ORACLE_CAP = 12
@@ -147,11 +149,7 @@ def _boltzmann_factors(g: Fraction, N: int):
     return weights, rhos
 
 
-def spin_thermal_expectation(
-    params: XYParams,
-    N: int,
-    poly: SpinPolynomial,
-) -> float:
+def spin_thermal_expectation(params: XYParams, N: int, poly) -> float:
     """Finite-N tr(exp(-beta H) poly) / tr(exp(-beta H)), H the XY model.
 
     The H eigenvalue (2 gamma / N)(j(j+1) - m^2) makes the Boltzmann weight
@@ -167,8 +165,12 @@ def spin_thermal_expectation(
     error is below the smallest binary64 number is final too, so an
     expectation that vanishes exactly returns 0.0.
     """
-    spin_core.check_sector_budget(N, poly)
-    tables = spin_core.fold_diagonals(N, poly)
+    expr = spin_core.expression(poly)
+    spin_core.check_trace_budget(N, expr)
+    if (N + 1) * max(1, expr.degree) > MAX_TRACE_CELLS:
+        raise spin_core.ResourceLimitError(
+            f"{N + 1} sectors x degree {expr.degree} exceed {MAX_TRACE_CELLS} cells")
+    tables = spin_core.fold_diagonals(N, expr)
     if any(imaginary for *_, imaginary in tables):
         raise ValueError("thermal expectation requires real coefficients")
     if not tables:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -227,23 +228,48 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
 
 
 def test_power_budget_exits_before_expanding(capsys):
-    code, _, err = run(capsys, "trace", "--expr", "(S+ + S-)^40", "--n", "4")
+    # normal-order lists the 2^40 words, so the word expansion refuses them
+    code, _, err = run(capsys, "normal-order", "--expr", "(S+ + S-)^40")
     assert code == 2 and "resource error" in err
+    # trace evaluates the tree: (2 Sx)^40 at N = 4 is a binomial moment
+    code, out, _ = run(capsys, "trace", "--expr", "(S+ + S-)^40", "--n", "4",
+                       "--digits", "20")
+    moment = Fraction(sum(math.comb(4, k) * (4 - 2 * k) ** 40 for k in range(5)),
+                      2**4 * 4**20)
+    assert code == 0 and Fraction(out.strip().split(": ")[1]) == moment
     code, out, _ = run(capsys, "trace", "--expr", "(1 + Sz)^30", "--n", "4")
     assert code == 0
 
 
 def test_word_length_budget_exits_before_expanding(capsys):
-    for argv in (("--expr", "Sz^400", "--n", "10"),
-                 ("--expr", "Sz^20000", "--n", "10")):
-        start = time.perf_counter()
-        code, _, err = run(capsys, "trace", *argv)
-        assert code == 2 and "exceed the limit of 64" in err
-        assert time.perf_counter() - start < 1.0
+    # refused while parsing, before a coefficient such as 3^(10^9) is built
+    for expr in ("Sz^400", "Sz^20000", "(1/3*Sz)^1000000000",
+                 "(1/2*S+ + 1/2*S-)^1000000000"):
+        for argv in (("trace", "--n", "10"), ("normal-order",)):
+            start = time.perf_counter()
+            code, _, err = run(capsys, *argv, "--expr", expr)
+            assert code == 2 and "exceed the limit of 64" in err, (argv, expr)
+            assert time.perf_counter() - start < 1.0
     # 64 letters is the limit itself: parsed and within the trace budget
     poly = parse_polynomial("(S+*S-)^32")
     assert poly.degree() == 64
     check_trace_budget(10, poly)
+
+
+def test_algebra_budget_refuses_or_finishes(capsys):
+    # every letter count 0 ... 64 at every shift: refused from the tree's bounds,
+    # before the algebra runs
+    start = time.perf_counter()
+    code, _, err = run(capsys, "trace", "--expr", "(S+ + S- + Sz + 1)^64",
+                       "--n", "1000000")
+    assert code == 2 and "exceed the budget" in err
+    assert time.perf_counter() - start < 1.0
+    # within the budget: computed within 5 s, or refused
+    for expr in ("(S+ + S- + Sz)^21", "(S+ + S- + Sz)^22", "(S+ + S-)^64",
+                 "(S+ + S- + Sz + 1)^36"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "trace", "--expr", expr, "--n", "1000000")
+        assert (code == 0 and time.perf_counter() - start < 5.0) or code == 2, expr
 
 
 def test_float_overflow_exits_1(capsys):

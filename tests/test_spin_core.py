@@ -8,7 +8,7 @@ import pytest
 
 from spinboson import spin_core
 from spinboson.cli import main
-from spinboson.parsing import parse_polynomial
+from spinboson.parsing import parse_expression, parse_polynomial
 from spinboson.rationals import ComplexRational
 from spinboson.spin_core import (
     CROSSOVER_N,
@@ -21,6 +21,7 @@ from spinboson.spin_core import (
     _word_diag_poly,
     dense_oracle_trace,
     fold_diagonals,
+    node,
     irrep_multiplicity,
     irrep_sectors,
     normalized_trace,
@@ -430,3 +431,146 @@ def test_multiplicity_calls_do_not_grow_with_n(monkeypatch):
 def test_exact_closed_forms_at_ten_million(expr, closed_form):
     N = 10**7 + 1
     assert normalized_trace(N, parse_polynomial(expr)).exact == closed_form(N)
+
+
+def _kron_collective(N, site):
+    """Sum over the N sites of ``site`` in a Kronecker chain of identities."""
+    import scipy.sparse as sp
+
+    eye = sp.identity(2, dtype=np.int64, format="csr")
+    total = sp.csr_matrix((2**N, 2**N), dtype=np.int64)
+    for k in range(N):
+        mat = sp.identity(1, dtype=np.int64, format="csr")
+        for i in range(N):
+            mat = sp.kron(mat, site if i == k else eye, format="csr")
+        total = total + mat
+    return total
+
+
+def test_collective_ops_match_kron_construction():
+    import scipy.sparse as sp
+
+    sites = {PLUS: [[0, 1], [0, 0]], MINUS: [[0, 0], [1, 0]], Z: [[1, 0], [0, -1]]}
+    for N in range(1, 7):
+        ops = spin_core._collective_ops(N)
+        for ch, site in sites.items():
+            want = _kron_collective(N, sp.csr_matrix(np.array(site, np.int64)))
+            assert ops[ch].dtype == np.int64 and ops[ch].shape == want.shape
+            assert (ops[ch] != want).nnz == 0, (N, ch)
+    assert spin_core._collective_ops.cache_info().maxsize == 16
+
+
+def _random_expr(rng, budget):
+    """A random expression string with at most ``budget`` letters per term:
+    nested powers, unary minus, integer and rational constants."""
+    roll = rng.random()
+    if budget <= 1:
+        if budget and rng.random() < 0.8:
+            return rng.choice(["S+", "S-", "Sz"])
+        return rng.choice([str(rng.randint(0, 3)), f"{rng.randint(1, 5)}/{rng.randint(2, 4)}"])
+    if roll < 0.15:
+        return "-" + _random_expr(rng, budget) if rng.random() < 0.5 else (
+            f"-({_random_expr(rng, budget)})")
+    if roll < 0.35:
+        k = rng.randint(0, 3)
+        return f"({_random_expr(rng, budget // max(k, 1))})^{k}"
+    if roll < 0.55:
+        op = rng.choice([" + ", " - "])
+        return f"{_random_expr(rng, budget)}{op}{_random_expr(rng, budget)}"
+    split = rng.randint(1, budget - 1)
+    return f"({_random_expr(rng, split)})*({_random_expr(rng, budget - split)})"
+
+
+def _sy_tree():
+    """Sy = (S+ - S-)/(2i) as a tree with imaginary coefficients."""
+    half_i = ComplexRational(0, Fraction(1, 2))
+    return node("sum", node("product", node("constant", -half_i), node("letter", PLUS)),
+                node("product", node("constant", half_i), node("letter", MINUS)))
+
+
+def test_tree_tables_equal_word_tables():
+    """The tables folded from a parsed tree are those folded from its words,
+    entry for entry and over the same denominator."""
+    rng = random.Random(13)
+    Ns = [1, 7, 64, CROSSOVER_N, CROSSOVER_N + 1, 3001]
+    seen = set()
+    for i in range(120):
+        text = _random_expr(rng, rng.randint(2, 10))
+        tree = parse_expression(text)
+        N = Ns[i % len(Ns)]
+        tables = fold_diagonals(N, tree)
+        assert tables == fold_diagonals(N, parse_polynomial(text)), (text, N)
+        seen |= {(radical, imaginary) for *_, radical, imaginary in tables}
+    sx = parse_expression("(1/2)*S+ + (1/2)*S-")
+    sz = parse_expression("Sz")
+    for i in range(40):
+        factors = [rng.choice([sx, _sy_tree(), sz]) for _ in range(rng.randint(1, 5))]
+        tree = node("power", node("product", *factors), rng.randint(1, 2))
+        tree = node("sum", tree, node("constant", ComplexRational(
+            Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 3))))
+        N = Ns[i % len(Ns)]
+        tables = fold_diagonals(N, tree)
+        assert tables == fold_diagonals(N, tree.words()), (tree, N)
+        seen |= {(radical, imaginary) for *_, radical, imaginary in tables}
+    # odd lengths leave a sqrt(N) table, Sy products an imaginary one
+    assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def _twice_letters(N):
+    """2 S+, 2 S- and 2 Sz on the 2^N space as arrays of Python ints; bit b of
+    a basis index is 1 when site b is down."""
+    dim = 2**N
+    mats = {ch: np.zeros((dim, dim), dtype=object) for ch in (PLUS, MINUS, Z)}
+    for i in range(dim):
+        mats[Z][i][i] = N - 2 * bin(i).count("1")
+        for b in range(N):
+            # S+ clears a set bit, S- sets a clear one
+            mats[PLUS if i >> b & 1 else MINUS][i ^ (1 << b)][i] = 2
+    return mats
+
+
+def _twice_triple_letter(N):
+    """2 (S+ + S- + Sz) on the 2^N space as an array of Python ints."""
+    mats = _twice_letters(N)
+    return mats[PLUS] + mats[MINUS] + mats[Z]
+
+
+def test_triple_power_of_sixteen_against_exact_dense_power():
+    expr = parse_expression("(S+ + S- + Sz)^16")
+    for N in range(2, 7):
+        half = _twice_triple_letter(N)
+        for _ in range(3):  # (2M)^8
+            half = half @ half
+        trace = sum(half[i][j] * half[j][i] for i in range(2**N) for j in range(2**N))
+        want = Fraction(trace, 2**16 * 2**N * N**8)
+        res = normalized_trace(N, expr)
+        assert (res.exact, res.sqrt_n) == (ComplexRational(want), 0), N
+    # 16 letters, inside the 64-letter limit; near its Gaussian limit at 10^6
+    assert expr.degree == 16
+    big = normalized_trace(10**6, expr).exact.re
+    assert big == pytest.approx(math.prod(range(1, 16, 2)) * Fraction(5, 4) ** 8, rel=1e-4)
+
+
+def test_words_of_64_letters_trace_with_every_letter():
+    # one word has one shift and one letter count, so the budget admits it
+    expr = parse_expression("Sz^2*(S+*S-)^31")
+    assert expr.degree == 64
+    for N in (1, 2, 3):
+        mats = _twice_letters(N)
+        prod = mats[Z] @ mats[Z]
+        for _ in range(31):
+            prod = prod @ mats[PLUS] @ mats[MINUS]
+        want = Fraction(sum(prod[i][i] for i in range(2**N)), 2**64 * 2**N * N**32)
+        assert normalized_trace(N, expr).exact == want, N
+    for text in ("Sz^2*(S+*S-)^31", "(S+*Sz*S-)^21*Sz", "(S+*S-)^32 + Sz"):
+        assert normalized_trace(10**6, parse_expression(text)).exact.re > 0, text
+
+
+@pytest.mark.parametrize("expr", ["Sz^400", "(S+ + S- + Sz + 1)^64"])
+def test_algebra_budget_refuses_before_evaluating(monkeypatch, expr):
+    def evaluated(*args):
+        raise AssertionError("the algebra ran")
+
+    monkeypatch.setattr(spin_core, "_operator", evaluated)
+    with pytest.raises(ResourceLimitError):
+        normalized_trace(10**6, parse_expression(expr))
