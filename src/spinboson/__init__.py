@@ -20,7 +20,7 @@ from .moments import (
     gaussian_expectation,
     limit_moment,
 )
-from .parsing import parse_expression, parse_polynomial, render_polynomial
+from .parsing import parse_polynomial, render_polynomial
 from .rationals import ComplexRational
 from .spin_core import (
     IrrepSpec,

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .rationals import CoefficientMap, ComplexRational
+from .rationals import ComplexRational
 
 CREATE = "C"
 ANNIHILATE = "A"
@@ -28,15 +28,32 @@ OperatorWord = Tuple[str, ...]
 _TermMap = Dict[Tuple[int, int], ComplexRational]
 
 
-class _TermPolynomial(CoefficientMap):
-    """Finitely-supported map (m, n) -> coefficient with m, n >= 0."""
+class _TermPolynomial:
+    """Finitely supported map (m, n) -> ComplexRational with m, n >= 0; zero
+    coefficients are never stored."""
 
-    @staticmethod
-    def _check_key(key):
-        m, n = key
-        if m < 0 or n < 0:
-            raise ValueError(f"negative exponent in key ({m}, {n})")
-        return key
+    def __init__(self, terms=None):
+        self.terms = {}
+        for (m, n), c in (terms or {}).items():
+            if m < 0 or n < 0:
+                raise ValueError(f"negative exponent in key ({m}, {n})")
+            if c := ComplexRational.coerce(c):
+                self.terms[m, n] = c
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.terms == other.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, ComplexRational(0)) + c
+        return type(self)(out)
+
+    def scale(self, scalar):
+        c = ComplexRational.coerce(scalar)
+        return type(self)({k: c * v for k, v in self.terms.items()})
 
     def to_json(self) -> str:
         data = {

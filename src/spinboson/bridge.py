@@ -21,7 +21,7 @@ import numpy as np
 from . import moments, spin_core, thermal
 from .boson import BosonSymbol, NormalForm, normal_order_symbol
 from .rationals import ComplexRational
-from .spin_core import Z, SpinPolynomial
+from .spin_core import SpinPolynomial, TraceResult, Z, node
 
 MAX_ORDERING_LETTERS = 10
 
@@ -61,8 +61,8 @@ def fit_decay_rate(n_values: Sequence[int], errors: Sequence[float]):
     return float(-slope)
 
 
-def boson_image(poly) -> NormalForm:
-    """Normal-ordered image of a spin polynomial (a tree or a SpinPolynomial).
+def boson_image(poly: SpinPolynomial) -> NormalForm:
+    """Normal-ordered image of a spin polynomial.
 
     A word with p S+, q S- and r Sz letters maps to <eta^r> z*^p z^q: S+ and
     S- become the commuting symbols of the x = 1/3 thermal mode, and Sz the
@@ -111,18 +111,24 @@ def ordering_sensitivity(poly: SpinPolynomial, N: int) -> float:
     """Largest trace spread among reorderings of any term's letters.
 
     Measures the part of the spin polynomial that the commuting symbol map
-    cannot see; the theorem guarantees it vanishes as N grows.
+    cannot see; the theorem guarantees it vanishes as N grows.  Every word
+    has a real trace, so the spread of a term c w is |c| (max - min) over the
+    orderings of w.
     """
     worst = 0.0
-    for word, coeff in poly.terms.items():
+    for word, coeff in spin_core.words(poly).items():
         if len(word) > MAX_ORDERING_LETTERS:
             raise spin_core.ResourceLimitError(
                 f"word of length {len(word)} exceeds the ordering cap "
                 f"{MAX_ORDERING_LETTERS}"
             )
-        values = [spin_core.normalized_trace(N, SpinPolynomial({variant: coeff})).approx()
+        traces = [spin_core.normalized_trace(
+                      N, node("product", *(node("letter", ch) for ch in variant)))
                   for variant in sorted(set(itertools.permutations(word)))]
-        worst = max(worst, *(abs(v1 - v2) for v1 in values for v2 in values))
+        low, high = (TraceResult(N, coeff * t.exact, coeff * t.sqrt_n).approx()
+                     for t in (min(traces, key=TraceResult.real),
+                               max(traces, key=TraceResult.real)))
+        worst = max(worst, abs(high - low))
     return worst
 
 
@@ -136,5 +142,8 @@ def position_sector(
     ``f_coeffs`` are polynomial coefficients, lowest power first; this is
     ``verify_theorem`` of sum_k c_k Sz^k.
     """
-    poly = SpinPolynomial({(Z,) * k: c for k, c in enumerate(f_coeffs)})
+    sz = node("letter", Z)
+    poly = node("sum", node("constant", 0), *(
+        node("product", node("constant", c), node("power", sz, k))
+        for k, c in enumerate(f_coeffs)))
     return verify_theorem(poly, n_values, digits)

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import bridge, moments, spin_core, xy
-from .parsing import parse_expression, render_polynomial
+from .parsing import parse_polynomial, render_polynomial
 from .spin_core import ResourceLimitError
 
 
@@ -155,7 +155,7 @@ def _per_n_command(args, command: str, inputs: dict, step) -> None:
 
 
 def _cmd_trace(args) -> None:
-    expr = parse_expression(_require(args, "expr"))
+    expr = parse_polynomial(_require(args, "expr"))
 
     def step(n):
         res = spin_core.normalized_trace(
@@ -194,7 +194,7 @@ def _cmd_moments(args) -> None:
 
 
 def _cmd_verify(args) -> None:
-    expr = parse_expression(_require(args, "expr"))
+    expr = parse_polynomial(_require(args, "expr"))
     report = bridge.verify_theorem(expr, _n_values(args), digits=args.digits)
     lines = []
     for n, dec, err in zip(report.n_values, report.spin_decimals,
@@ -251,7 +251,7 @@ def _cmd_xy(args) -> None:
             row["T_eff"] = xy.effective_temperature(params)
             lines.append(f"T_eff = {row['T_eff']:.6g}")
     if args.expr and n is not None:
-        expr = parse_expression(args.expr)
+        expr = parse_polynomial(args.expr)
         row["expectation_spin"] = xy.spin_thermal_expectation(params, n, expr)
         lines.append(f"<f>_spin(N={n}) = {row['expectation_spin']:.10g}")
         if report.passed:
@@ -270,8 +270,8 @@ def _cmd_xy(args) -> None:
 
 
 def _cmd_normal_order(args) -> None:
-    expr = parse_expression(_require(args, "expr"))
-    poly = expr.words()
+    expr = parse_polynomial(_require(args, "expr"))
+    echo = render_polynomial(expr)
     form = bridge.boson_image(expr)
     text = form.render()
     _emit(
@@ -279,19 +279,18 @@ def _cmd_normal_order(args) -> None:
         {"command": "normal-order", "inputs": {"expr": args.expr},
          "results": [{"normal_form": json.loads(form.to_json()),
                       "rendered": text}]},
-        f"{render_polynomial(poly)}  ->  {text}",
+        f"{echo}  ->  {text}",
         [{"expr": args.expr, "normal_form": text}],
     )
 
 
 def _cmd_oracle(args) -> None:
-    expr = parse_expression(_require(args, "expr"))
-    words = expr.words()  # the dense side multiplies words out
+    expr = parse_polynomial(_require(args, "expr"))
 
     def step(n):
         engine = spin_core.normalized_trace(n, expr, digits=args.digits)
         dense = spin_core.dense_oracle_trace(
-            n, words, digits=args.digits, cap=args.oracle_cap
+            n, expr, digits=args.digits, cap=args.oracle_cap
         )
         if engine.exact != dense.exact or engine.sqrt_n != dense.sqrt_n:
             raise ValueError(f"oracle mismatch at N={n}")

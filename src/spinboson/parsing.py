@@ -8,8 +8,9 @@ Grammar (whitespace-insensitive)::
     atom   := 'S+' | 'S-' | 'Sz' | number | '(' expr ')' | '-' atom
     number := integer ('/' integer)?
 
-The parser builds an expression tree; ``parse_polynomial`` multiplies it out.
-Every letter carries the implicit 1/sqrt(N) scaling applied at trace time.
+``parse_polynomial`` builds the expression tree, a ``SpinPolynomial``;
+``render_polynomial`` multiplies it out into words.  Every letter carries the
+implicit 1/sqrt(N) scaling applied at trace time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from .spin_core import MINUS, PLUS, Expr, SpinPolynomial, Z, node
+from .spin_core import MINUS, PLUS, SpinPolynomial, Z, node, words
 
 
 class ParseError(ValueError):
@@ -84,7 +85,7 @@ class _Parser:
                              tok.pos)
         return self.advance()
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self) -> SpinPolynomial:
         terms = [self.parse_term()]
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
@@ -92,14 +93,14 @@ class _Parser:
             terms.append(rhs if op == "+" else node("product", _MINUS_ONE, rhs))
         return terms[0] if len(terms) == 1 else node("sum", *terms)
 
-    def parse_term(self) -> Expr:
+    def parse_term(self) -> SpinPolynomial:
         factors = [self.parse_factor()]
         while self.peek().kind == "op" and self.peek().text == "*":
             self.advance()
             factors.append(self.parse_factor())
         return factors[0] if len(factors) == 1 else node("product", *factors)
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self) -> SpinPolynomial:
         value = self.parse_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             tok = self.advance()
@@ -110,7 +111,7 @@ class _Parser:
             value = node("power", value, int(exp.text))
         return value
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> SpinPolynomial:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
@@ -139,7 +140,7 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text or 'end'!r}", tok.pos)
 
 
-def parse_expression(expr: str) -> Expr:
+def parse_polynomial(expr: str) -> SpinPolynomial:
     """Parse an expression over S+, S-, Sz into its tree."""
     parser = _Parser(_tokenize(expr))
     value = parser.parse_expr()
@@ -147,21 +148,18 @@ def parse_expression(expr: str) -> Expr:
     return value
 
 
-def parse_polynomial(expr: str) -> SpinPolynomial:
-    """Parse an expression over S+, S-, Sz into an exact SpinPolynomial."""
-    return parse_expression(expr).words()
-
-
 _LETTER_NAMES = {PLUS: "S+", MINUS: "S-", Z: "Sz"}
 
 
 def render_polynomial(poly: SpinPolynomial) -> str:
-    """Canonical text form: terms by word length then lexicographic order."""
-    if not poly.terms:
+    """Canonical text form of the words of ``poly``: by length, then
+    lexicographic order."""
+    terms = words(poly)
+    if not terms:
         return "0"
     parts = []
-    for word in sorted(poly.terms, key=lambda w: (len(w), w)):
-        coeff = poly.terms[word]
+    for word in sorted(terms, key=lambda w: (len(w), w)):
+        coeff = terms[word]
         factors = [_render_coeff(coeff)] if coeff != 1 or not word else []
         factors.extend(_LETTER_NAMES[ch] for ch in word)
         parts.append("*".join(factors))

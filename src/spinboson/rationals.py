@@ -115,39 +115,3 @@ class ComplexRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-class CoefficientMap:
-    """Finitely supported map key -> ComplexRational; zeros are never stored.
-
-    Subclasses validate and return each key in a static ``_check_key`` and
-    define their own products, since not every map has a key-adding product.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        pairs = ((self._check_key(key), ComplexRational.coerce(c))
-                 for key, c in (terms or {}).items())
-        self.terms = {key: c for key, c in pairs if c}
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, ComplexRational(0)) + c
-        return type(self)(out)
-
-    def scale(self, scalar):
-        c = ComplexRational.coerce(scalar)
-        return type(self)({k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)

@@ -29,19 +29,17 @@ import decimal
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .rationals import CoefficientMap, ComplexRational
+from .rationals import ComplexRational
 
 PLUS = "+"
 MINUS = "-"
 Z = "z"
-LETTERS = (PLUS, MINUS, Z)
 
 #: A word is a finite tuple of letters, applied right-to-left like a product.
 SpinWord = Tuple[str, ...]
@@ -52,7 +50,7 @@ MAX_WORD_LETTERS = 64
 #: largest N whose trace sums every sector, at most 8256 cells; above it only
 #: the interpolation nodes n <= MAX_WORD_LETTERS // 2 + 2 are summed
 CROSSOVER_N = 2 * MAX_WORD_LETTERS
-#: budget on the estimated number of terms in a power p**k of words
+#: budget on the estimated number of terms in the word expansion of a power
 MAX_POWER_TERMS = 10**6
 #: budget on shifts x letter counts x (a, u) monomials of an expression, about
 #: 4 s of shift algebra at most (1-2 us per entry on a 2-vCPU VM, Python 3.11)
@@ -70,131 +68,25 @@ def _check_word_length(length: int) -> None:
         )
 
 
-def check_trace_budget(N: int, poly) -> None:
-    """Refuse a trace of ``poly`` (a tree or a SpinPolynomial) at N sites before
-    any work: terms of too many letters, or a shift-algebra key space (shifts x
-    letter counts x (a, u) monomials) above ``MAX_ALGEBRA_CELLS``."""
+def check_trace_budget(N: int, poly: SpinPolynomial) -> None:
+    """Refuse a trace of ``poly`` at N sites before any work: terms of too many
+    letters, or a shift-algebra key space (shifts x letter counts x (a, u)
+    monomials) above ``MAX_ALGEBRA_CELLS``."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    expr = expression(poly)
-    _check_word_length(d := expr.degree)
-    cells = (expr.high - expr.low + 1) * (d - expr.least + 1) * (d // 2 + 1) * (d + 1)
+    _check_word_length(d := poly.degree)
+    cells = (poly.high - poly.low + 1) * (d - poly.least + 1) * (d // 2 + 1) * (d + 1)
     if cells > MAX_ALGEBRA_CELLS:
         raise ResourceLimitError(f"a predicted {cells} operator entries exceed "
                                  f"the budget of {MAX_ALGEBRA_CELLS}")
 
 
-def _check_word(word: Sequence[str]) -> SpinWord:
-    w = tuple(word)
-    for ch in w:
-        if ch not in LETTERS:
-            raise ValueError(f"unknown spin letter {ch!r}")
-    return w
-
-
-class SpinPolynomial(CoefficientMap):
-    """Exact linear combination of words over {S+, S-, Sz}.
-
-    Each letter carries an implicit 1/sqrt(N) scaling that is applied when a
-    trace is taken.  Coefficients are Gaussian rationals; zero coefficients
-    are never stored.
-    """
-
-    __slots__ = ()
-    _check_key = staticmethod(_check_word)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def identity(cls) -> "SpinPolynomial":
-        return cls({(): ComplexRational(1)})
-
-    @classmethod
-    def from_word(cls, word: Sequence[str], coeff=1) -> "SpinPolynomial":
-        return cls({tuple(word): ComplexRational.coerce(coeff)})
-
-    @classmethod
-    def s_plus(cls) -> "SpinPolynomial":
-        return cls.from_word((PLUS,))
-
-    @classmethod
-    def s_minus(cls) -> "SpinPolynomial":
-        return cls.from_word((MINUS,))
-
-    @classmethod
-    def s_z(cls) -> "SpinPolynomial":
-        return cls.from_word((Z,))
-
-    @classmethod
-    def s_x(cls) -> "SpinPolynomial":
-        half = ComplexRational(Fraction(1, 2))
-        return cls({(PLUS,): half, (MINUS,): half})
-
-    @classmethod
-    def s_y(cls) -> "SpinPolynomial":
-        # Sy = (S+ - S-) / (2i)
-        c = ComplexRational(0, Fraction(-1, 2))
-        return cls({(PLUS,): c, (MINUS,): -c})
-
-    # -- algebra ------------------------------------------------------------
-
-    def __mul__(self, other) -> "SpinPolynomial":
-        if not isinstance(other, SpinPolynomial):
-            return self.scale(other)
-        out: Dict[SpinWord, ComplexRational] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, ComplexRational(0)) + c1 * c2
-        return SpinPolynomial(out)
-
-    def __pow__(self, n: int) -> "SpinPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        if self._power_terms_estimate(n) > MAX_POWER_TERMS:
-            raise ResourceLimitError(
-                f"power {n} of a {len(self.terms)}-term polynomial would have "
-                f"more than {MAX_POWER_TERMS} terms"
-            )
-        _check_word_length(n * self.degree())
-        out = SpinPolynomial.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def _power_terms_estimate(self, n: int) -> int:
-        """Estimate min(t^n, sum_{L <= n*d} a^L) of the terms in self**n.
-
-        t is the number of terms, d the degree and a the number of distinct
-        letters.  Exponents are clipped where the value is already over the
-        budget, so no large integer is built.
-        """
-        clip = MAX_POWER_TERMS.bit_length()  # 2**clip > MAX_POWER_TERMS
-        letters = len({ch for word in self.terms for ch in word})
-        length = n * self.degree()
-        if letters == 1:
-            words = length + 1
-        else:
-            words = sum(letters**L for L in range(min(length, clip) + 1))
-        return min(len(self.terms) ** min(n, clip), words)
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def __repr__(self):
-        if not self.terms:
-            return "SpinPolynomial(0)"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            name = "".join("S" + ch for ch in w) or "1"
-            parts.append(f"({self.terms[w]})*{name}")
-        return "SpinPolynomial(" + " + ".join(parts) + ")"
-
-
-class Expr(NamedTuple):
-    """A node of a parsed expression, built by ``node``: terms of ``least`` to
-    ``degree`` letters, shifting m by ``low`` ... ``high`` (S+ +1, S- -1), with
-    den times their coefficients Gaussian integers."""
+class SpinPolynomial(NamedTuple):
+    """An exact polynomial over S+, S-, Sz as an expression tree, built by
+    ``node``: terms of ``least`` to ``degree`` letters, shifting m by ``low``
+    ... ``high`` (S+ +1, S- -1), with den times their coefficients Gaussian
+    integers.  Each letter carries an implicit 1/sqrt(N), applied when a trace
+    is taken."""
 
     kind: str
     args: tuple
@@ -204,49 +96,87 @@ class Expr(NamedTuple):
     high: int
     den: int
 
-    def words(self) -> SpinPolynomial:
-        """The word expansion; each ``^`` is refused above ``MAX_POWER_TERMS``."""
-        if self.kind in ("letter", "constant"):
-            return SpinPolynomial({self.args: 1} if self.kind == "letter"
-                                  else {(): self.args[0]})
-        if self.kind == "power":
-            return self.args[0].words() ** self.args[1]
-        return functools.reduce(operator.add if self.kind == "sum" else operator.mul,
-                                (child.words() for child in self.args))
 
-
-def node(kind: str, *args) -> Expr:
+def node(kind: str, *args) -> SpinPolynomial:
     """The node ('letter', ch), ('constant', c), ('sum', *terms), ('product',
-    *factors; they act right to left, like a word) or ('power', base, k); a
-    power of more than ``MAX_WORD_LETTERS`` letters is refused before it is built."""
+    *factors; they act right to left, like a word) or ('power', base, k).  Each
+    factor of a power counts as at least one letter, so a power of more than
+    ``MAX_WORD_LETTERS`` is refused before its coefficient is built."""
     if kind == "letter":
         shift = {PLUS: 1, MINUS: -1, Z: 0}[args[0]]
-        return Expr(kind, args, degree=1, least=1, low=shift, high=shift, den=1)
+        return SpinPolynomial(kind, args, degree=1, least=1, low=shift, high=shift, den=1)
     if kind == "constant":
         c = ComplexRational.coerce(args[0])
-        return Expr(kind, (c,), degree=0, least=0, low=0, high=0,
-                    den=math.lcm(c.re.denominator, c.im.denominator))
+        return SpinPolynomial(kind, (c,), degree=0, least=0, low=0, high=0,
+                              den=math.lcm(c.re.denominator, c.im.denominator))
     if kind == "power":
         base, k = args
-        _check_word_length(k * base.degree)
-        return Expr(kind, args, degree=k * base.degree, least=k * base.least,
-                    low=k * base.low, high=k * base.high, den=base.den**k)
+        _check_word_length(k * max(base.degree, 1))
+        return SpinPolynomial(kind, args, degree=k * base.degree, least=k * base.least,
+                              low=k * base.low, high=k * base.high, den=base.den**k)
     if kind == "sum":
-        return Expr(kind, args, degree=max(t.degree for t in args),
-                    least=min(t.least for t in args), low=min(t.low for t in args),
-                    high=max(t.high for t in args), den=math.lcm(*(t.den for t in args)))
-    return Expr(kind, args, degree=sum(f.degree for f in args),
-                least=sum(f.least for f in args), low=sum(f.low for f in args),
-                high=sum(f.high for f in args), den=math.prod(f.den for f in args))
+        return SpinPolynomial(kind, args, degree=max(t.degree for t in args),
+                              least=min(t.least for t in args),
+                              low=min(t.low for t in args), high=max(t.high for t in args),
+                              den=math.lcm(*(t.den for t in args)))
+    return SpinPolynomial(kind, args, degree=sum(f.degree for f in args),
+                          least=sum(f.least for f in args), low=sum(f.low for f in args),
+                          high=sum(f.high for f in args),
+                          den=math.prod(f.den for f in args))
 
 
-def expression(poly) -> Expr:
-    """A tree as it is, or a SpinPolynomial as its sum of words."""
-    if isinstance(poly, Expr):
-        return poly
-    terms = [node("product", node("constant", c), *(node("letter", ch) for ch in word))
-             for word, c in poly.terms.items()]
-    return node("sum", *terms) if terms else node("constant", 0)
+def _add_words(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def _multiply_words(p: dict, q: dict) -> dict:
+    out = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def _power_terms_estimate(terms: dict, k: int) -> int:
+    """Estimate min(t^k, sum_{L <= k*d} a^L) of the terms of a k-th power of
+    ``terms``: t terms of degree d with a distinct letters.  Exponents are
+    clipped where the value is already over the budget, so no large integer
+    is built."""
+    clip = MAX_POWER_TERMS.bit_length()  # 2**clip > MAX_POWER_TERMS
+    letters = len({ch for word in terms for ch in word})
+    length = k * max(map(len, terms), default=0)
+    if letters == 1:
+        count = length + 1
+    else:
+        count = sum(letters**L for L in range(min(length, clip) + 1))
+    return min(len(terms) ** min(k, clip), count)
+
+
+def words(poly: SpinPolynomial) -> Dict[SpinWord, ComplexRational]:
+    """The word expansion {word: coefficient} of ``poly``, without zero terms.
+
+    A power whose expansion ``_power_terms_estimate`` puts above
+    ``MAX_POWER_TERMS`` terms is refused before it is expanded.
+    """
+    kind, args = poly.kind, poly.args
+    if kind == "letter":
+        return {args: ComplexRational(1)}
+    if kind == "constant":
+        return {(): args[0]} if args[0] else {}
+    if kind == "sum":
+        return functools.reduce(_add_words, map(words, args))
+    if kind == "power":
+        base, k = words(args[0]), args[1]
+        if _power_terms_estimate(base, k) > MAX_POWER_TERMS:
+            raise ResourceLimitError(f"power {k} of a {len(base)}-term polynomial "
+                                     f"would have more than {MAX_POWER_TERMS} terms")
+        factors = [base] * k
+    else:
+        factors = map(words, args)
+    return functools.reduce(_multiply_words, factors, {(): ComplexRational(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +275,7 @@ def _times(p, q, lo: int, hi: int):
     return out
 
 
-def _operator(expr: Expr, lo: int, hi: int, letters=_LETTER_OPS):
+def _operator(expr: SpinPolynomial, lo: int, hi: int, letters=_LETTER_OPS):
     """den times ``expr`` in the shift algebra, keeping the shifts lo ... hi."""
     kind, args = expr.kind, expr.args
     if kind == "letter":
@@ -378,7 +308,7 @@ def _operator(expr: Expr, lo: int, hi: int, letters=_LETTER_OPS):
     return acc
 
 
-def _sector_trace_poly(expr: Expr) -> Dict[Tuple[int, int], _Poly2]:
+def _sector_trace_poly(expr: SpinPolynomial) -> Dict[Tuple[int, int], _Poly2]:
     """The shift-0 part of den times ``expr``: {(L, imaginary part): poly}."""
     return {(L, i): {k: c for k, c in poly.items() if c}
             for (_, L, i), poly in _operator(expr, 0, 0).items() if any(poly.values())}
@@ -389,14 +319,14 @@ _COUNTING_LETTERS = {PLUS: (1, {(0, 0): 1}), MINUS: (-1, {(0, 0): 1}),
                      Z: (0, {(1, 0): 1})}
 
 
-def letter_counts(poly) -> Dict[Tuple[int, int, int], ComplexRational]:
-    """The coefficient of each letter count (#S+, #S-, #Sz) in ``poly``, a tree
-    or a SpinPolynomial, with its letters taken to commute."""
-    expr, out = expression(poly), {}
-    counted = _operator(expr, expr.low, expr.high, _COUNTING_LETTERS)
+def letter_counts(poly: SpinPolynomial) -> Dict[Tuple[int, int, int], ComplexRational]:
+    """The coefficient of each letter count (#S+, #S-, #Sz) in ``poly``, with
+    its letters taken to commute."""
+    out = {}
+    counted = _operator(poly, poly.low, poly.high, _COUNTING_LETTERS)
     for (s, L, imaginary), powers in counted.items():
         for (r, _), c in powers.items():
-            part = Fraction(c, expr.den)
+            part = Fraction(c, poly.den)
             key = (L - r + s) // 2, (L - r - s) // 2, r
             term = ComplexRational(0, part) if imaginary else ComplexRational(part)
             out[key] = out.get(key, ComplexRational(0)) + term
@@ -422,8 +352,8 @@ def letter_scale(N: int, L: int) -> Tuple[int, bool]:
     return N ** ((L + 1) // 2), L % 2 == 1
 
 
-def fold_diagonals(N: int, poly):
-    """The diagonal of ``poly``, a tree or a SpinPolynomial, at N sites.
+def fold_diagonals(N: int, poly: SpinPolynomial):
+    """The diagonal of ``poly`` at N sites.
 
     The diagonal polynomials in (a, u) of every letter count L, with their
     scales N^{-L/2}, are summed exactly into integer tables, one for each
@@ -431,8 +361,7 @@ def fold_diagonals(N: int, poly):
     over one denominator in lowest terms: (rows, denominator, radical,
     imaginary), rows[ku][ka] / denominator the coefficient of a^ka u^ku.
     """
-    expr = expression(poly)
-    diagonal = _sector_trace_poly(expr)
+    diagonal = _sector_trace_poly(poly)
     degree = max((L for L, _ in diagonal), default=0)
     top = letter_scale(N, degree)[0]
     tables = {}
@@ -443,7 +372,7 @@ def fold_diagonals(N: int, poly):
                                  [[0] * (degree // 2 + 1) for _ in range(degree + 1)])
         for (ka, ku), c in dp.items():
             rows[ku][ka] += scale * c
-    denominator = 2**degree * top * expr.den
+    denominator = 2**degree * top * poly.den
     common = math.gcd(denominator, *(c for rows in tables.values()
                                      for row in rows for c in row))
     return [([[c // common for c in row] for row in rows], denominator // common,
@@ -568,7 +497,7 @@ def _interpolated_values(N: int, rows, degree: int) -> list:
     return out
 
 
-def normalized_trace(N: int, poly, digits: int = 12,
+def normalized_trace(N: int, poly: SpinPolynomial, digits: int = 12,
                      use_float: bool = False) -> TraceResult:
     """Exact 2^{-N} trace of a polynomial with 1/sqrt(N) per letter.
 
@@ -577,9 +506,8 @@ def normalized_trace(N: int, poly, digits: int = 12,
     Set ``use_float`` to round the exact value to binary64; the result is
     then labeled with ``float_path=True`` and ``exact`` holds the rounding.
     """
-    expr = expression(poly)
-    check_trace_budget(N, expr)
-    tables = fold_diagonals(N, expr)
+    check_trace_budget(N, poly)
+    tables = fold_diagonals(N, poly)
     rows = [table[0] for table in tables]
     values = (_node_values(N, rows) if N <= CROSSOVER_N
               else _interpolated_values(N, rows, len(rows[0]) - 1 if rows else 0))
@@ -627,9 +555,12 @@ def _collective_ops(N: int):
     return {PLUS: splus, MINUS: splus.T.tocsr(), Z: twice_sz}
 
 
-def _check_int64(N: int, L: int) -> None:
-    """Refuse L-letter words: S+, S-, 2Sz have entries and row sums <= N, so
-    any product of <= L letters, and its trace, is at most 2^N * N^L."""
+def _check_int64(N: int, terms: dict) -> None:
+    """Refuse ``terms`` when their longest word, of L letters, is too long: S+,
+    S-, 2Sz have entries and row sums <= N, so any product of <= L letters,
+    and its trace, is at most 2^N * N^L.  L is that of the expanded words,
+    since cancellation can leave it below the tree's degree."""
+    L = max(map(len, terms), default=0)
     if 2**N * N**L >= 2**63:
         raise ResourceLimitError(
             f"dense oracle: a {L}-letter word at N={N} can reach "
@@ -671,12 +602,13 @@ def dense_oracle_trace(
             f"dense oracle supports N <= {cap}; got N={N}. Raise the cap "
             f"explicitly if you can afford the 2^N x 2^N construction."
         )
-    _check_int64(N, poly.degree())
+    terms = words(poly)
+    _check_int64(N, terms)
     ops = _collective_ops(N)
     pow2 = 2**N
     class_traces: Dict[SpinWord, int] = {}
     parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
-    for word, coeff in poly.terms.items():
+    for word, coeff in terms.items():
         L = len(word)
         key = min((word[i:] + word[:i] for i in range(L)), default=word)
         if key not in class_traces:

@@ -149,7 +149,7 @@ def _boltzmann_factors(g: Fraction, N: int):
     return weights, rhos
 
 
-def spin_thermal_expectation(params: XYParams, N: int, poly) -> float:
+def spin_thermal_expectation(params: XYParams, N: int, poly: SpinPolynomial) -> float:
     """Finite-N tr(exp(-beta H) poly) / tr(exp(-beta H)), H the XY model.
 
     The H eigenvalue (2 gamma / N)(j(j+1) - m^2) makes the Boltzmann weight
@@ -165,12 +165,11 @@ def spin_thermal_expectation(params: XYParams, N: int, poly) -> float:
     error is below the smallest binary64 number is final too, so an
     expectation that vanishes exactly returns 0.0.
     """
-    expr = spin_core.expression(poly)
-    spin_core.check_trace_budget(N, expr)
-    if (N + 1) * max(1, expr.degree) > MAX_TRACE_CELLS:
+    spin_core.check_trace_budget(N, poly)
+    if (N + 1) * max(1, poly.degree) > MAX_TRACE_CELLS:
         raise spin_core.ResourceLimitError(
-            f"{N + 1} sectors x degree {expr.degree} exceed {MAX_TRACE_CELLS} cells")
-    tables = spin_core.fold_diagonals(N, expr)
+            f"{N + 1} sectors x degree {poly.degree} exceed {MAX_TRACE_CELLS} cells")
+    tables = spin_core.fold_diagonals(N, poly)
     if any(imaginary for *_, imaginary in tables):
         raise ValueError("thermal expectation requires real coefficients")
     if not tables:
@@ -224,13 +223,14 @@ def spin_thermal_dense_oracle(
     import scipy.linalg
     import scipy.sparse
 
-    spin_core._check_int64(N, poly.degree())
+    terms = spin_core.words(poly)
+    spin_core._check_int64(N, terms)
     ops = spin_core._collective_ops(N)
     splus = ops[spin_core.PLUS].astype(float)
     sminus = ops[spin_core.MINUS].astype(float)
     h = (float(params.gamma) / N) * (splus @ sminus + sminus @ splus)
     obs = scipy.sparse.csr_matrix(h.shape, dtype=complex)
-    for word, coeff in poly.terms.items():
+    for word, coeff in terms.items():
         mat = spin_core._chain(ops, word) / 2.0 ** word.count(Z)
         obs = obs + complex(coeff) * mat * N ** (-len(word) / 2)
     twice_sz = ops[Z].diagonal()

@@ -20,13 +20,14 @@ from spinboson.boson import (
 )
 from spinboson.bridge import boson_image, verify_theorem
 from spinboson.moments import complex_gaussian_expectation, limit_moment
+from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
 from spinboson.spin_core import (
     MINUS,
     PLUS,
     Z,
-    SpinPolynomial,
     dense_oracle_trace,
+    node,
     normalized_trace,
 )
 from spinboson.thermal import (
@@ -66,8 +67,7 @@ def _verdict(number, label):
 
 @_verdict(1, "flagship trace at N=2000 rounds to 119.670 within 0.001, under 60 s")
 def test_criterion_01_flagship_trace():
-    poly = (SpinPolynomial.s_plus() * SpinPolynomial.s_minus()
-            + SpinPolynomial.s_minus() * SpinPolynomial.s_plus()) ** 5
+    poly = parse_polynomial("(S+*S- + S-*S+)^5")
     start = time.monotonic()
     res = normalized_trace(2000, poly, digits=6)
     elapsed = time.monotonic() - start
@@ -92,12 +92,12 @@ def test_criterion_03_theorem_state():
 
 @_verdict(4, "transverse moments converge at rate O(1/N) to (2l)!/(2^{3l} l!)")
 def test_criterion_04_moment_convergence():
-    sx = SpinPolynomial.s_x()
+    sx = parse_polynomial("(1/2)*(S+ + S-)")
     ns = (64, 128, 256, 512, 1024)
     for ell in (1, 2, 3):
         target = limit_moment(ell)
         errs = [
-            abs(normalized_trace(N, sx ** (2 * ell)).exact.re - target)
+            abs(normalized_trace(N, node("power", sx, 2 * ell)).exact.re - target)
             for N in ns
         ]
         if all(e == 0 for e in errs):
@@ -122,7 +122,9 @@ def test_criterion_05_oracle_agreement():
                 Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
                 Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
             )
-        poly = SpinPolynomial(terms)
+        poly = node("sum", *(node("product", node("constant", c),
+                                  *(node("letter", ch) for ch in word))
+                             for word, c in terms.items()))
         engine = normalized_trace(N, poly)
         dense = dense_oracle_trace(N, poly)
         assert engine.exact == dense.exact
@@ -131,7 +133,9 @@ def test_criterion_05_oracle_agreement():
 
 @_verdict(6, "mixed moment Sx^2 Sy^2 equals 1/16 with non-increasing error")
 def test_criterion_06_mixed_moment():
-    poly = SpinPolynomial.s_x() ** 2 * SpinPolynomial.s_y() ** 2
+    sy = node("sum", *(node("product", node("constant", ComplexRational(0, c)), node("letter", ch))
+                       for ch, c in ((PLUS, Fraction(-1, 2)), (MINUS, Fraction(1, 2)))))
+    poly = node("product", parse_polynomial("((1/2)*(S+ + S-))^2"), node("power", sy, 2))
     errs = []
     for N in (128, 256, 512):
         res = normalized_trace(N, poly)
@@ -175,7 +179,7 @@ def test_criterion_09_random_symbols():
         gauss = complex_gaussian_expectation({(m, m): coeff})
         assert thermal_expect(THEOREM_STATE, form) == gauss
     for m in (2, 3, 4, 5):
-        poly = SpinPolynomial.from_word((PLUS,) * m + (MINUS,) * m)
+        poly = parse_polynomial(f"S+^{m}*S-^{m}")
         report = verify_theorem(poly, [64, 128, 256, 512])
         assert report.boson_value == pytest.approx(
             math.factorial(m) * 0.5**m
@@ -195,8 +199,7 @@ def test_criterion_10_xy_application():
     t_eff = effective_temperature(XYParams(Fraction(-1), Fraction(2)))
     assert abs(t_eff - 2 / math.log(1.5)) < 1e-9
     params = XYParams(Fraction(1), Fraction(4))
-    poly = (SpinPolynomial.s_plus() * SpinPolynomial.s_minus()
-            + SpinPolynomial.s_minus() * SpinPolynomial.s_plus())
+    poly = parse_polynomial("S+*S- + S-*S+")
     target = float(boson_thermal_expectation(params, boson_image(poly)))
     gaps = [
         abs(spin_thermal_expectation(params, N, poly) - target)
@@ -207,12 +210,12 @@ def test_criterion_10_xy_application():
 
 @_verdict(11, "longitudinal moments match the ground-oscillator Gaussian law")
 def test_criterion_11_longitudinal_moments():
-    sz = SpinPolynomial.s_z()
-    assert normalized_trace(64, sz**2).exact.re == Fraction(1, 4)
+    sz = parse_polynomial("Sz")
+    assert normalized_trace(64, node("power", sz, 2)).exact.re == Fraction(1, 4)
     for ell in (2, 3):
         target = limit_moment(ell)
         errs = [
-            abs(normalized_trace(N, sz ** (2 * ell)).exact.re - target)
+            abs(normalized_trace(N, node("power", sz, 2 * ell)).exact.re - target)
             for N in (128, 256, 512, 1024)
         ]
         assert all(a > b for a, b in zip(errs, errs[1:]))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,37 +12,26 @@ from spinboson.bridge import (
 )
 from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
-from spinboson.spin_core import (
-    MINUS,
-    PLUS,
-    Z,
-    ResourceLimitError,
-    SpinPolynomial,
-    normalized_trace,
-)
+from spinboson.spin_core import ResourceLimitError, node, normalized_trace
 from spinboson.thermal import THEOREM_STATE, thermal_expect
 
 
 def test_boson_image_examples():
-    poly = SpinPolynomial.from_word((PLUS, MINUS)) + SpinPolynomial.from_word(
-        (MINUS, PLUS)
-    )
-    form = boson_image(poly)
+    form = boson_image(parse_polynomial("S+*S- + S-*S+"))
     # both orderings collapse to the same commuting symbol
     assert form.terms == {(1, 1): ComplexRational(2)}
-    word = (PLUS, MINUS) * 5 + (MINUS, PLUS) * 0
-    big = boson_image(SpinPolynomial.from_word((PLUS, MINUS, PLUS, MINUS)))
+    big = boson_image(parse_polynomial("S+*S-*S+*S-"))
     assert big.terms == {(2, 2): ComplexRational(1)}
-    assert boson_image(SpinPolynomial.identity()).terms == {
+    assert boson_image(parse_polynomial("1")).terms == {
         (0, 0): ComplexRational(1)
     }
 
 
 def test_boson_image_of_sz_words():
     # an odd number of Sz letters has the vanishing moment <eta> = 0
-    assert boson_image(SpinPolynomial.from_word((Z, PLUS))).terms == {}
+    assert boson_image(parse_polynomial("Sz*S+")).terms == {}
     # two Sz letters contribute <eta^2> = 1/4
-    form = boson_image(SpinPolynomial.from_word((Z, Z, PLUS, MINUS)))
+    form = boson_image(parse_polynomial("Sz*Sz*S+*S-"))
     assert form.terms == {(1, 1): ComplexRational(Fraction(1, 4))}
 
 
@@ -82,9 +72,7 @@ def test_verify_odd_sz_word_converges_at_rate_one_half():
 
 
 def test_verify_theorem_flagship():
-    poly = (SpinPolynomial.s_plus() * SpinPolynomial.s_minus()
-            + SpinPolynomial.s_minus() * SpinPolynomial.s_plus()) ** 5
-    report = verify_theorem(poly, [200, 400, 800, 1600])
+    report = verify_theorem(parse_polynomial("(S+*S- + S-*S+)^5"), [200, 400, 800, 1600])
     assert report.boson_value == pytest.approx(120.0)
     assert all(a > b for a, b in zip(report.abs_errors, report.abs_errors[1:]))
     assert report.spin_values[-1] == pytest.approx(120.0, abs=0.5)
@@ -92,9 +80,8 @@ def test_verify_theorem_flagship():
 
 
 def test_verify_theorem_requires_sorted_n():
-    poly = SpinPolynomial.s_plus() * SpinPolynomial.s_minus()
     with pytest.raises(ValueError):
-        verify_theorem(poly, [100, 50])
+        verify_theorem(parse_polynomial("S+*S-"), [100, 50])
 
 
 def test_fit_decay_rate():
@@ -108,16 +95,15 @@ def test_fit_decay_rate():
 def test_ordering_sensitivity_examples():
     # the two orderings of a two-letter word are cyclic shifts of each
     # other, so trace cyclicity makes the spread vanish identically
-    poly = SpinPolynomial.from_word((PLUS, MINUS))
+    poly = parse_polynomial("S+*S-")
     for N in (16, 64, 256):
         assert ordering_sensitivity(poly, N) == 0.0
     # the identity has a single (empty) ordering
-    assert ordering_sensitivity(SpinPolynomial.identity(), 32) == 0.0
+    assert ordering_sensitivity(parse_polynomial("1"), 32) == 0.0
 
 
 def test_ordering_sensitivity_degree_four_decays():
-    word = (PLUS, PLUS, MINUS, MINUS)
-    poly = SpinPolynomial.from_word(word)
+    poly = parse_polynomial("S+*S+*S-*S-")
     s12 = ordering_sensitivity(poly, 12)
     s48 = ordering_sensitivity(poly, 48)
     assert s12 > s48 > 0
@@ -126,9 +112,26 @@ def test_ordering_sensitivity_degree_four_decays():
 
 def test_ordering_sensitivity_cap():
     with pytest.raises(ResourceLimitError):
-        ordering_sensitivity(
-            SpinPolynomial.from_word((PLUS, MINUS) * 6), 8
-        )
+        ordering_sensitivity(parse_polynomial("(S+*S-)^6"), 8)
+
+
+def _spread(coeff, word, N):
+    """max |c t1 - c t2| over every pair of orderings of ``word``."""
+    values = [complex(coeff) * normalized_trace(N, parse_polynomial("*".join(v))).approx()
+              for v in set(itertools.permutations(word))]
+    return max(abs(v1 - v2) for v1 in values for v2 in values)
+
+
+def test_ordering_sensitivity_is_the_pairwise_spread():
+    # a complex coefficient, and an odd word whose traces have a sqrt(N) part
+    c = ComplexRational(Fraction(2, 3), Fraction(-5, 4))
+    first, second = ["S+", "Sz", "S-", "Sz", "S+", "S-"], ["Sz", "S+", "Sz", "S-", "Sz"]
+    poly = node("sum", node("product", node("constant", c), parse_polynomial("*".join(first))),
+                parse_polynomial("(1/3)*" + "*".join(second)))
+    for N in (6, 40):
+        want = max(_spread(c, first, N), _spread(Fraction(1, 3), second, N))
+        assert want > 0
+        assert ordering_sensitivity(poly, N) == pytest.approx(want, rel=1e-12)
 
 
 def test_position_sector_exact_square():
@@ -136,6 +139,11 @@ def test_position_sector_exact_square():
     assert report.boson_value == pytest.approx(0.25)
     assert report.abs_errors == [0.0, 0.0, 0.0]
     assert report.fitted_rate is None
+
+
+def test_position_sector_of_no_coefficients_is_zero():
+    report = position_sector([], [16, 64])
+    assert report.spin_values == [0.0, 0.0] and report.boson_value == 0.0
 
 
 def test_position_sector_cubic_and_quartic():
@@ -149,8 +157,7 @@ def test_position_sector_cubic_and_quartic():
 
 
 def test_two_route_rate_for_ladder_words():
-    poly = SpinPolynomial.from_word((PLUS, PLUS, MINUS, MINUS))
-    report = verify_theorem(poly, [64, 128, 256, 512])
+    report = verify_theorem(parse_polynomial("S+*S+*S-*S-"), [64, 128, 256, 512])
     assert report.boson_value == pytest.approx(0.5)  # 2! * (1/2)^2
     assert 0.7 <= report.fitted_rate <= 1.3
 
@@ -170,7 +177,7 @@ def test_exact_limit_is_the_boson_image(expr, limit):
     """
     poly = parse_polynomial(expr)
     xs, values = [], []
-    for k in range(poly.degree() // 2 + 1):
+    for k in range(poly.degree // 2 + 1):
         res = normalized_trace(10**6 + k, poly)
         assert res.sqrt_n == 0
         xs.append(Fraction(1, 10**6 + k))

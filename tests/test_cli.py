@@ -242,9 +242,10 @@ def test_power_budget_exits_before_expanding(capsys):
 
 
 def test_word_length_budget_exits_before_expanding(capsys):
-    # refused while parsing, before a coefficient such as 3^(10^9) is built
+    # refused while parsing, before a coefficient such as 3^(10^9) is built;
+    # each factor of a power counts as at least one letter, constants too
     for expr in ("Sz^400", "Sz^20000", "(1/3*Sz)^1000000000",
-                 "(1/2*S+ + 1/2*S-)^1000000000"):
+                 "(1/2*S+ + 1/2*S-)^1000000000", "(1/3)^1000000000", "2^65*Sz"):
         for argv in (("trace", "--n", "10"), ("normal-order",)):
             start = time.perf_counter()
             code, _, err = run(capsys, *argv, "--expr", expr)
@@ -252,8 +253,10 @@ def test_word_length_budget_exits_before_expanding(capsys):
             assert time.perf_counter() - start < 1.0
     # 64 letters is the limit itself: parsed and within the trace budget
     poly = parse_polynomial("(S+*S-)^32")
-    assert poly.degree() == 64
+    assert poly.degree == 64
     check_trace_budget(10, poly)
+    code, out, _ = run(capsys, "trace", "--expr", "2^64*Sz^2", "--n", "4", "--digits", "30")
+    assert code == 0 and Fraction(out.strip().split(": ")[1]) == Fraction(2**64, 4)
 
 
 def test_algebra_budget_refuses_or_finishes(capsys):

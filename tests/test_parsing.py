@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,53 +6,50 @@ import pytest
 
 from spinboson.parsing import ParseError, parse_polynomial, render_polynomial
 from spinboson.rationals import ComplexRational
-from spinboson.spin_core import MINUS, PLUS, Z, SpinPolynomial
+from spinboson.spin_core import MINUS, PLUS, Z, node, words
+
+
+def _words(text):
+    return words(parse_polynomial(text))
 
 
 def test_single_letters():
-    assert parse_polynomial("S+").terms == {(PLUS,): ComplexRational(1)}
-    assert parse_polynomial("S-").terms == {(MINUS,): ComplexRational(1)}
-    assert parse_polynomial("Sz").terms == {(Z,): ComplexRational(1)}
+    assert _words("S+") == {(PLUS,): ComplexRational(1)}
+    assert _words("S-") == {(MINUS,): ComplexRational(1)}
+    assert _words("Sz") == {(Z,): ComplexRational(1)}
 
 
 def test_flagship_expression():
-    poly = parse_polynomial("(S+*S- + S-*S+)^5")
-    built = (SpinPolynomial.s_plus() * SpinPolynomial.s_minus()
-             + SpinPolynomial.s_minus() * SpinPolynomial.s_plus()) ** 5
-    assert poly.terms == built.terms
+    # the 32 products of five factors S+*S- or S-*S+, each once
+    pairs = itertools.product([(PLUS, MINUS), (MINUS, PLUS)], repeat=5)
+    assert _words("(S+*S- + S-*S+)^5") == {sum(p, ()): ComplexRational(1) for p in pairs}
 
 
 def test_rational_coefficients():
-    poly = parse_polynomial("Sz^2 + (1/2)*S+*S-")
-    assert poly.terms == {
+    assert _words("Sz^2 + (1/2)*S+*S-") == {
         (Z, Z): ComplexRational(1),
         (PLUS, MINUS): ComplexRational(Fraction(1, 2)),
     }
-    poly = parse_polynomial("3/4")
-    assert poly.terms == {(): ComplexRational(Fraction(3, 4))}
+    assert _words("3/4") == {(): ComplexRational(Fraction(3, 4))}
 
 
 def test_unary_minus_and_subtraction():
-    poly = parse_polynomial("-Sz")
-    assert poly.terms == {(Z,): ComplexRational(-1)}
-    poly = parse_polynomial("S+*S- - S-*S+")
-    assert poly.terms == {
+    assert _words("-Sz") == {(Z,): ComplexRational(-1)}
+    assert _words("S+*S- - S-*S+") == {
         (PLUS, MINUS): ComplexRational(1),
         (MINUS, PLUS): ComplexRational(-1),
     }
-    assert parse_polynomial("--Sz").terms == {(Z,): ComplexRational(1)}
+    assert _words("--Sz") == {(Z,): ComplexRational(1)}
 
 
 def test_powers_and_cancellation():
-    assert parse_polynomial("Sz^0").terms == {(): ComplexRational(1)}
-    assert parse_polynomial("(Sz - Sz)^3").terms == {}
-    assert parse_polynomial("Sz^3").terms == {(Z, Z, Z): ComplexRational(1)}
+    assert _words("Sz^0") == {(): ComplexRational(1)}
+    assert _words("(Sz - Sz)^3") == {}
+    assert _words("Sz^3") == {(Z, Z, Z): ComplexRational(1)}
 
 
 def test_whitespace_insensitivity():
-    a = parse_polynomial("S+ * S-   +Sz ^ 2")
-    b = parse_polynomial("S+*S-+Sz^2")
-    assert a.terms == b.terms
+    assert parse_polynomial("S+ * S-   +Sz ^ 2") == parse_polynomial("S+*S-+Sz^2")
 
 
 def test_parse_errors_carry_positions():
@@ -71,11 +69,9 @@ def test_parse_errors_carry_positions():
 
 
 def test_render_examples():
-    assert render_polynomial(SpinPolynomial({})) == "0"
-    assert render_polynomial(SpinPolynomial.identity()) == "1"
-    poly = SpinPolynomial(
-        {(Z,): ComplexRational(Fraction(-1, 2)), (PLUS, MINUS): ComplexRational(1)}
-    )
+    assert render_polynomial(parse_polynomial("Sz - Sz")) == "0"
+    assert render_polynomial(parse_polynomial("1")) == "1"
+    poly = parse_polynomial("S+*S- - (1/2)*Sz")
     assert render_polynomial(poly) == "(-1/2)*Sz + S+*S-"
 
 
@@ -90,5 +86,7 @@ def test_render_parse_round_trip():
             coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
             if coeff:
                 terms[word] = ComplexRational(coeff)
-        poly = SpinPolynomial(terms)
-        assert parse_polynomial(render_polynomial(poly)).terms == poly.terms
+        poly = node("sum", node("constant", 0), *(
+            node("product", node("constant", c), *(node("letter", ch) for ch in word))
+            for word, c in terms.items()))
+        assert words(parse_polynomial(render_polynomial(poly))) == terms

@@ -1,4 +1,5 @@
-"""The command lines in README.md run and print valid JSON."""
+"""The Quick start in README.md prints its stated values, and its command
+lines run and print valid JSON."""
 
 import json
 import re
@@ -29,3 +30,12 @@ def test_readme_command_prints_json(line, capsys):
     assert main(argv) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["command"] == argv[0]
+
+
+def test_readme_quick_start(capsys):
+    text = README.read_text()
+    section = text[text.index("## Quick start"):]
+    exec(re.search(r"```python\n(.*?)```", section, re.S).group(1), {})
+    trace, verify = capsys.readouterr().out.splitlines()
+    assert trace == "119.670"
+    assert verify.split()[0] == "120.0"

@@ -8,7 +8,7 @@ import pytest
 
 from spinboson import spin_core
 from spinboson.cli import main
-from spinboson.parsing import parse_expression, parse_polynomial
+from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
 from spinboson.spin_core import (
     CROSSOVER_N,
@@ -17,7 +17,6 @@ from spinboson.spin_core import (
     PLUS,
     Z,
     ResourceLimitError,
-    SpinPolynomial,
     _word_diag_poly,
     dense_oracle_trace,
     fold_diagonals,
@@ -26,7 +25,20 @@ from spinboson.spin_core import (
     irrep_sectors,
     normalized_trace,
     sector_sums,
+    words,
 )
+
+
+def _sx(k=1):
+    """Sx^k, Sx = (S+ + S-)/2."""
+    return parse_polynomial(f"((1/2)*(S+ + S-))^{k}")
+
+
+def _tree(terms):
+    """The sum of c * word over a {word: c} map, as a tree."""
+    return node("sum", node("constant", 0), *(
+        node("product", node("constant", c), *(node("letter", ch) for ch in word))
+        for word, c in terms.items()))
 
 
 def test_multiplicity_examples():
@@ -98,27 +110,26 @@ def test_multiplicity_out_of_walk_order():
 
 
 def test_trace_identity_and_empty():
-    assert normalized_trace(7, SpinPolynomial.identity()).exact == 1
-    res = normalized_trace(7, SpinPolynomial({}))
+    assert normalized_trace(7, parse_polynomial("1")).exact == 1
+    res = normalized_trace(7, parse_polynomial("0"))
     assert res.exact == 0 and res.sqrt_n == 0
 
 
 def test_trace_sx_squared_exact_quarter():
-    sx = SpinPolynomial.s_x()
     for N in (2, 8, 33):
-        assert normalized_trace(N, sx**2).exact == Fraction(1, 4)
+        assert normalized_trace(N, _sx(2)).exact == Fraction(1, 4)
 
 
 def test_trace_single_ladder_letter_vanishes():
-    assert normalized_trace(1, SpinPolynomial.s_plus()).exact == 0
+    assert normalized_trace(1, parse_polynomial("S+")).exact == 0
 
 
 @pytest.mark.parametrize("alpha", ["x", "y", "z"])
 @pytest.mark.parametrize("ell", [0, 1, 2])
 def test_odd_moments_vanish(alpha, ell):
-    op = getattr(SpinPolynomial, f"s_{alpha}")()
+    op = {"x": _sx(), "y": _sy_tree(), "z": parse_polynomial("Sz")}[alpha]
     for N in (2, 5, 12):
-        res = normalized_trace(N, op ** (2 * ell + 1))
+        res = normalized_trace(N, node("power", op, 2 * ell + 1))
         assert res.exact == 0 and res.sqrt_n == 0
 
 
@@ -165,7 +176,7 @@ def _random_poly(rng, max_degree=6, max_terms=3):
             Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
         )
         terms[word] = coeff
-    return SpinPolynomial(terms)
+    return _tree(terms)
 
 
 def test_oracle_equivalence_spot_checks():
@@ -187,19 +198,18 @@ def test_hermiticity_of_word_plus_adjoint():
         )
         swap = {PLUS: MINUS, MINUS: PLUS, Z: Z}
         adjoint = tuple(swap[ch] for ch in reversed(word))
-        poly = SpinPolynomial.from_word(word) + SpinPolynomial.from_word(adjoint)
+        poly = node("sum", _tree({word: 1}), _tree({adjoint: 1}))
         res = normalized_trace(9, poly)
         assert res.exact.is_real and res.sqrt_n.is_real
 
 
 def test_moment_convergence_bounded_by_c_over_n():
-    sx = SpinPolynomial.s_x()
     from spinboson.moments import limit_moment
 
     for ell in (1, 2, 3):
         target = limit_moment(ell)
         errs = [
-            abs(normalized_trace(N, sx ** (2 * ell)).exact.re - target)
+            abs(normalized_trace(N, _sx(2 * ell)).exact.re - target)
             for N in (64, 128, 256, 512, 1024)
         ]
         if all(e == 0 for e in errs):
@@ -214,7 +224,16 @@ def test_moment_convergence_bounded_by_c_over_n():
 
 def test_dense_oracle_cap():
     with pytest.raises(ResourceLimitError):
-        dense_oracle_trace(15, SpinPolynomial.identity())
+        dense_oracle_trace(15, parse_polynomial("1"))
+
+
+def test_dense_oracle_int64_guard_reads_the_expanded_words():
+    # 2^12 * 12^16 >= 2^63, but the 16-letter words cancel and S+*S- is left
+    poly = parse_polynomial("Sz^16 - Sz^16 + S+*S-")
+    assert poly.degree == 16
+    assert dense_oracle_trace(12, poly).exact == normalized_trace(12, poly).exact
+    with pytest.raises(ResourceLimitError, match="2\\^63"):
+        dense_oracle_trace(12, parse_polynomial("Sz^16"))
 
 
 def _plain_oracle(N, poly):
@@ -230,7 +249,7 @@ def _plain_oracle(N, poly):
             for k in range(N)
         )
     parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
-    for word, coeff in poly.terms.items():
+    for word, coeff in words(poly).items():
         mat = np.identity(2**N, np.int64)
         for ch in word:
             mat = mat @ ops[ch]
@@ -248,16 +267,17 @@ def test_dense_oracle_against_plain_product():
             poly = _random_poly(rng, max_degree=7, max_terms=4)
             res = dense_oracle_trace(N, poly)
             assert (res.exact, res.sqrt_n) == _plain_oracle(N, poly), (N, poly)
-            lengths |= {len(w) for w in poly.terms}
-            odd_sz |= any(Z in w and len(w) % 2 for w in poly.terms)
-            complex_coeffs |= any(not c.is_real for c in poly.terms.values())
+            terms = words(poly)
+            lengths |= {len(w) for w in terms}
+            odd_sz |= any(Z in w and len(w) % 2 for w in terms)
+            complex_coeffs |= any(not c.is_real for c in terms.values())
     assert lengths == set(range(8)) and odd_sz and complex_coeffs
 
 
 def test_dense_oracle_one_product_per_rotation_class(monkeypatch):
     word = (PLUS, Z, MINUS, MINUS, PLUS)
-    poly = SpinPolynomial({word[i:] + word[:i]: i + 1 for i in range(5)})
-    assert len(poly.terms) == 5
+    poly = _tree({word[i:] + word[:i]: i + 1 for i in range(5)})
+    assert len(words(poly)) == 5
     chains = []
 
     def counted(ops, letters):
@@ -282,21 +302,19 @@ def test_engine_equals_oracle_up_to_fourteen_sites(N, expr):
 
 def test_trace_budget():
     # above the crossover no sector sum grows with N, so no cell budget applies
-    assert normalized_trace(10**8, SpinPolynomial.s_x() ** 2).exact == Fraction(1, 4)
+    assert normalized_trace(10**8, _sx(2)).exact == Fraction(1, 4)
 
 
 def test_power_budget_rejects_before_expanding():
-    # (S+ + S-)^40 would have 2^40 words; neither it nor 2^(10^9) is built
-    for k in (40, 10**9):
-        with pytest.raises(ResourceLimitError, match="more than 1000000 terms"):
-            SpinPolynomial.s_x() ** k
+    # (S+ + S-)^40 would have 2^40 words; none of them is built
+    with pytest.raises(ResourceLimitError, match="more than 1000000 terms"):
+        words(parse_polynomial("(S+ + S-)^40"))
     # t^k is large, but one letter bounds the result to 31 words
-    one_plus_z = SpinPolynomial.identity() + SpinPolynomial.s_z()
-    assert len((one_plus_z ** 30).terms) == 31
+    assert len(words(parse_polynomial("(1 + Sz)^30"))) == 31
 
 
 def test_float_path_is_labeled_and_close():
-    poly = SpinPolynomial.s_x() ** 4
+    poly = _sx(4)
     exact = normalized_trace(200, poly)
     approx = normalized_trace(200, poly, use_float=True)
     assert approx.float_path and "(float)" in approx.decimal
@@ -332,9 +350,9 @@ def test_float_path_high_power_at_large_n_is_finite():
 
 
 def test_decimal_rendering_faithful():
-    res = normalized_trace(8, SpinPolynomial.s_x() ** 2, digits=5)
+    res = normalized_trace(8, _sx(2), digits=5)
     assert res.decimal == "0.25"
-    res = normalized_trace(2000, SpinPolynomial.s_x() ** 4, digits=6)
+    res = normalized_trace(2000, _sx(4), digits=6)
     # exact value 2999/16000 = 0.1874375, round-half-even to six figures
     assert res.exact.re == Fraction(2999, 16000)
     assert res.decimal == "0.187438"
@@ -342,7 +360,7 @@ def test_decimal_rendering_faithful():
 
 def test_odd_word_sqrt_part_against_oracle():
     # tr(Sz S+ S-) is nonzero; the scaling leaves a 1/sqrt(N) radical
-    poly = SpinPolynomial.from_word((Z, PLUS, MINUS))
+    poly = parse_polynomial("Sz*S+*S-")
     for N in (2, 4, 6):
         engine = normalized_trace(N, poly)
         dense = dense_oracle_trace(N, poly)
@@ -365,13 +383,11 @@ def _direct_trace(N, poly):
 
 def _random_product(rng, max_letters=7):
     """A product of Sx, Sy, Sz, S+, S- letters with a complex coefficient."""
-    letters = (SpinPolynomial.s_x(), SpinPolynomial.s_y(), SpinPolynomial.s_z(),
-               SpinPolynomial.s_plus(), SpinPolynomial.s_minus())
-    out = SpinPolynomial.identity()
-    for _ in range(rng.randint(1, max_letters)):
-        out = out * rng.choice(letters)
-    return out.scale(ComplexRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-                                     Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+    letters = (_sx(), _sy_tree(), *map(parse_polynomial, ("Sz", "S+", "S-")))
+    factors = [rng.choice(letters) for _ in range(rng.randint(1, max_letters))]
+    c = ComplexRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    return node("product", node("constant", c), *factors)
 
 
 def test_interpolated_trace_against_direct_sum():
@@ -380,7 +396,7 @@ def test_interpolated_trace_against_direct_sum():
     Ns += [rng.randint(CROSSOVER_N + 1, 3001) for _ in range(8)]
     odd_radical = False
     for N in Ns:
-        poly = _random_poly(rng, max_degree=7) + _random_product(rng)
+        poly = node("sum", _random_poly(rng, max_degree=7), _random_product(rng))
         res = normalized_trace(N, poly)
         assert (res.exact, res.sqrt_n) == _direct_trace(N, poly), (N, poly)
         odd_radical |= res.sqrt_n != 0
@@ -391,7 +407,7 @@ def test_interpolated_trace_against_dense_oracle(monkeypatch):
     monkeypatch.setattr(spin_core, "CROSSOVER_N", 0)  # interpolate at every N
     rng = random.Random(5)
     for N in range(1, 13):
-        poly = _random_poly(rng) + _random_product(rng, max_letters=5)
+        poly = node("sum", _random_poly(rng), _random_product(rng, max_letters=5))
         engine = normalized_trace(N, poly)
         dense = dense_oracle_trace(N, poly)
         assert (engine.exact, engine.sqrt_n) == (dense.exact, dense.sqrt_n), N
@@ -423,7 +439,7 @@ def test_multiplicity_calls_do_not_grow_with_n(monkeypatch):
         calls.clear()
         normalized_trace(N, poly)
         counts.append(len(calls))
-        assert max(calls) == poly.degree() // 2 + 2
+        assert max(calls) == poly.degree // 2 + 2
     assert counts[0] == counts[1]
 
 
@@ -496,13 +512,13 @@ def test_tree_tables_equal_word_tables():
     seen = set()
     for i in range(120):
         text = _random_expr(rng, rng.randint(2, 10))
-        tree = parse_expression(text)
+        tree = parse_polynomial(text)
         N = Ns[i % len(Ns)]
         tables = fold_diagonals(N, tree)
-        assert tables == fold_diagonals(N, parse_polynomial(text)), (text, N)
+        assert tables == fold_diagonals(N, _tree(words(tree))), (text, N)
         seen |= {(radical, imaginary) for *_, radical, imaginary in tables}
-    sx = parse_expression("(1/2)*S+ + (1/2)*S-")
-    sz = parse_expression("Sz")
+    sx = parse_polynomial("(1/2)*S+ + (1/2)*S-")
+    sz = parse_polynomial("Sz")
     for i in range(40):
         factors = [rng.choice([sx, _sy_tree(), sz]) for _ in range(rng.randint(1, 5))]
         tree = node("power", node("product", *factors), rng.randint(1, 2))
@@ -510,7 +526,7 @@ def test_tree_tables_equal_word_tables():
             Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 3))))
         N = Ns[i % len(Ns)]
         tables = fold_diagonals(N, tree)
-        assert tables == fold_diagonals(N, tree.words()), (tree, N)
+        assert tables == fold_diagonals(N, _tree(words(tree))), (tree, N)
         seen |= {(radical, imaginary) for *_, radical, imaginary in tables}
     # odd lengths leave a sqrt(N) table, Sy products an imaginary one
     assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
@@ -536,7 +552,7 @@ def _twice_triple_letter(N):
 
 
 def test_triple_power_of_sixteen_against_exact_dense_power():
-    expr = parse_expression("(S+ + S- + Sz)^16")
+    expr = parse_polynomial("(S+ + S- + Sz)^16")
     for N in range(2, 7):
         half = _twice_triple_letter(N)
         for _ in range(3):  # (2M)^8
@@ -553,7 +569,7 @@ def test_triple_power_of_sixteen_against_exact_dense_power():
 
 def test_words_of_64_letters_trace_with_every_letter():
     # one word has one shift and one letter count, so the budget admits it
-    expr = parse_expression("Sz^2*(S+*S-)^31")
+    expr = parse_polynomial("Sz^2*(S+*S-)^31")
     assert expr.degree == 64
     for N in (1, 2, 3):
         mats = _twice_letters(N)
@@ -563,7 +579,7 @@ def test_words_of_64_letters_trace_with_every_letter():
         want = Fraction(sum(prod[i][i] for i in range(2**N)), 2**64 * 2**N * N**32)
         assert normalized_trace(N, expr).exact == want, N
     for text in ("Sz^2*(S+*S-)^31", "(S+*Sz*S-)^21*Sz", "(S+*S-)^32 + Sz"):
-        assert normalized_trace(10**6, parse_expression(text)).exact.re > 0, text
+        assert normalized_trace(10**6, parse_polynomial(text)).exact.re > 0, text
 
 
 @pytest.mark.parametrize("expr", ["Sz^400", "(S+ + S- + Sz + 1)^64"])
@@ -573,4 +589,4 @@ def test_algebra_budget_refuses_before_evaluating(monkeypatch, expr):
 
     monkeypatch.setattr(spin_core, "_operator", evaluated)
     with pytest.raises(ResourceLimitError):
-        normalized_trace(10**6, parse_expression(expr))
+        normalized_trace(10**6, parse_polynomial(expr))

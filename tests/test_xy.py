@@ -10,7 +10,7 @@ from spinboson.boson import NormalForm
 from spinboson.bridge import boson_image
 from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
-from spinboson.spin_core import ResourceLimitError, SpinPolynomial
+from spinboson.spin_core import ResourceLimitError
 from spinboson.thermal import THEOREM_STATE, thermal_expect_weighted
 from spinboson.xy import (
     WORKING_DIGITS,
@@ -26,8 +26,7 @@ from spinboson.xy import (
 
 
 def _number_op():
-    return (SpinPolynomial.s_plus() * SpinPolynomial.s_minus()
-            + SpinPolynomial.s_minus() * SpinPolynomial.s_plus())
+    return parse_polynomial("S+*S- + S-*S+")
 
 
 def test_params_validation():
@@ -141,6 +140,10 @@ def test_spin_thermal_dense_oracle_refuses_words_beyond_int64():
     params = XYParams(Fraction(1), Fraction(4))
     with pytest.raises(ResourceLimitError, match="2\\^63"):
         spin_thermal_dense_oracle(params, 12, parse_polynomial("Sz^15"))
+    # the guard reads the longest expanded word, not the tree's degree of 16
+    poly = parse_polynomial("Sz^16 - Sz^16 + S+*S-")
+    assert spin_thermal_dense_oracle(params, 10, poly) == pytest.approx(
+        spin_thermal_expectation(params, 10, poly), rel=1e-10)
 
 
 @pytest.mark.parametrize("gamma, kT", [(1, 4), (-1, 3)])
@@ -181,7 +184,7 @@ def test_spin_thermal_against_per_cell_sum(gamma, kT, N):
     # three-letter word leaves a sqrt(N) table
     words = {("+", "-"): 1, ("-", "+"): 1, ("-", "-", "+", "+"): 2,
              ("z", "+", "-"): Fraction(1, 3)}
-    poly = SpinPolynomial(dict(words))
+    poly = parse_polynomial("S+*S- + S-*S+ + 2*S-*S-*S+*S+ + (1/3)*Sz*S+*S-")
     num = den = mpmath.mpf(0)
     with mpmath.workdps(30):
         g = mpmath.mpf(gamma) / kT
