@@ -110,26 +110,28 @@ def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
 
 
 def _n_values(args) -> list:
-    if getattr(args, "n_list", None):
+    if args.n_list:
         return [int(v) for v in args.n_list.split(",")]
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         return [args.n]
     raise ValueError("provide --n or --n-list")
 
 
-def _emit(args, payload: dict, text: str, csv_rows=None) -> None:
+def _emit(args, inputs: dict, results, lines, rows) -> None:
+    """Write one command's output in ``args.format`` to stdout or ``--out``:
+    the JSON ``inputs`` and ``results``, the text ``lines`` or the CSV
+    ``rows``."""
     if args.format == "json":
-        out = json.dumps(payload, indent=2)
+        out = json.dumps({"command": args.command, "inputs": inputs,
+                          "results": results}, indent=2)
     elif args.format == "csv":
         buf = io.StringIO()
-        rows = csv_rows or []
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
         out = buf.getvalue()
     else:
-        out = text
+        out = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out if out.endswith("\n") else out + "\n")
@@ -137,24 +139,15 @@ def _emit(args, payload: dict, text: str, csv_rows=None) -> None:
         print(out)
 
 
-def _per_n_command(args, command: str, inputs: dict, step) -> None:
-    """Emit ``step(n)`` -> (text line, row) for each requested N."""
-    lines, rows = [], []
-    for n in _n_values(args):
-        line, row = step(n)
-        lines.append(line)
-        rows.append(row)
-    _emit(
-        args,
-        {"command": command,
-         "inputs": {"expr": args.expr, "N": _n_values(args), **inputs},
-         "results": rows},
-        "\n".join(lines),
-        rows,
-    )
+def _per_n(args, step, **inputs):
+    """A command's output from ``step(n)`` -> (text line, row) for each
+    requested N; ``inputs`` follow the expression and the N values."""
+    n_values = _n_values(args)
+    lines, rows = zip(*map(step, n_values))
+    return {"expr": args.expr, "N": n_values, **inputs}, rows, lines, rows
 
 
-def _cmd_trace(args) -> None:
+def _cmd_trace(args):
     expr = parse_polynomial(_require(args, "expr"))
 
     def step(n):
@@ -165,11 +158,10 @@ def _cmd_trace(args) -> None:
         return (f"N={n}: {res.decimal}{tag}",
                 {"N": n, "value": res.decimal, "float_path": res.float_path})
 
-    inputs = {"digits": args.digits, "float": args.float_path}
-    _per_n_command(args, "trace", inputs, step)
+    return _per_n(args, step, digits=args.digits, float=args.float_path)
 
 
-def _cmd_moments(args) -> None:
+def _cmd_moments(args):
     # the largest l whose moment fits in binary64; moment l + 1 is (2l + 1)/4
     # times moment l
     top, moment = 0, Fraction(1)
@@ -184,16 +176,10 @@ def _cmd_moments(args) -> None:
         m = moments.limit_moment(ell)
         rows.append({"l": ell, "moment": str(m), "decimal": float(m)})
         lines.append(f"{ell}  {m} = {float(m):.10g}")
-    _emit(
-        args,
-        {"command": "moments", "inputs": {"max_l": args.max_l},
-         "results": rows},
-        "\n".join(lines),
-        rows,
-    )
+    return {"max_l": args.max_l}, rows, lines, rows
 
 
-def _cmd_verify(args) -> None:
+def _cmd_verify(args):
     expr = parse_polynomial(_require(args, "expr"))
     report = bridge.verify_theorem(expr, _n_values(args), digits=args.digits)
     lines = []
@@ -209,22 +195,16 @@ def _cmd_verify(args) -> None:
         for n, v, e in zip(report.n_values, report.spin_values,
                            report.abs_errors)
     ]
-    _emit(
-        args,
-        {"command": "verify",
-         "inputs": {"expr": args.expr, "N": report.n_values},
-         "results": {"N_values": report.n_values,
-                     "spin_values": report.spin_values,
-                     "spin_decimals": report.spin_decimals,
-                     "boson_value": report.boson_value,
-                     "abs_errors": report.abs_errors,
-                     "fitted_rate": report.fitted_rate}},
-        "\n".join(lines),
-        rows,
-    )
+    results = {"N_values": report.n_values,
+               "spin_values": report.spin_values,
+               "spin_decimals": report.spin_decimals,
+               "boson_value": report.boson_value,
+               "abs_errors": report.abs_errors,
+               "fitted_rate": report.fitted_rate}
+    return {"expr": args.expr, "N": report.n_values}, results, lines, rows
 
 
-def _cmd_xy(args) -> None:
+def _cmd_xy(args):
     params = xy.XYParams(Fraction(_require(args, "gamma")),
                          Fraction(_require(args, "kt")))
     n = None
@@ -258,33 +238,21 @@ def _cmd_xy(args) -> None:
             row["expectation_boson"] = float(xy.boson_thermal_expectation(
                 params, bridge.boson_image(expr)))
             lines.append(f"<f>_boson = {row['expectation_boson']:.10g}")
-    _emit(
-        args,
-        {"command": "xy",
-         "inputs": {"gamma": args.gamma, "kt": args.kt, "expr": args.expr,
-                    "n": n},
-         "results": [row]},
-        "\n".join(lines),
-        [row],
-    )
+    inputs = {"gamma": args.gamma, "kt": args.kt, "expr": args.expr, "n": n}
+    return inputs, [row], lines, [row]
 
 
-def _cmd_normal_order(args) -> None:
+def _cmd_normal_order(args):
     expr = parse_polynomial(_require(args, "expr"))
-    echo = render_polynomial(expr)
     form = bridge.boson_image(expr)
     text = form.render()
-    _emit(
-        args,
-        {"command": "normal-order", "inputs": {"expr": args.expr},
-         "results": [{"normal_form": json.loads(form.to_json()),
-                      "rendered": text}]},
-        f"{echo}  ->  {text}",
-        [{"expr": args.expr, "normal_form": text}],
-    )
+    return ({"expr": args.expr},
+            [{"normal_form": json.loads(form.to_json()), "rendered": text}],
+            [f"{render_polynomial(expr)}  ->  {text}"],
+            [{"expr": args.expr, "normal_form": text}])
 
 
-def _cmd_oracle(args) -> None:
+def _cmd_oracle(args):
     expr = parse_polynomial(_require(args, "expr"))
 
     def step(n):
@@ -298,7 +266,7 @@ def _cmd_oracle(args) -> None:
                 {"N": n, "engine": engine.decimal, "dense": dense.decimal,
                  "match": True})
 
-    _per_n_command(args, "oracle", {"oracle_cap": args.oracle_cap}, step)
+    return _per_n(args, step, oracle_cap=args.oracle_cap)
 
 
 def _require(args, name):
@@ -332,7 +300,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if getattr(args, "digits", 1) < 1:
             raise ValueError("--digits must be >= 1")
-        _COMMANDS[args.command](args)
+        _emit(args, *_COMMANDS[args.command](args))
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,8 @@ MAX_WORD_LETTERS = 64
 #: largest N whose trace sums every sector, at most 8256 cells; above it only
 #: the interpolation nodes n <= MAX_WORD_LETTERS // 2 + 2 are summed
 CROSSOVER_N = 2 * MAX_WORD_LETTERS
-#: budget on the estimated number of terms in the word expansion of a power
+#: budget on the estimated number of terms in the word expansion of a product
+#: or power
 MAX_POWER_TERMS = 10**6
 #: budget on shifts x letter counts x (a, u) monomials of an expression, about
 #: 4 s of shift algebra at most (1-2 us per entry on a 2-vCPU VM, Python 3.11)
@@ -140,26 +141,29 @@ def _multiply_words(p: dict, q: dict) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _power_terms_estimate(terms: dict, k: int) -> int:
-    """Estimate min(t^k, sum_{L <= k*d} a^L) of the terms of a k-th power of
-    ``terms``: t terms of degree d with a distinct letters.  Exponents are
-    clipped where the value is already over the budget, so no large integer
-    is built."""
+def _terms_estimate(factors: list) -> int:
+    """Estimate min(t_1 ... t_k, sum_{L <= d_1 + ... + d_k} a^L) of the terms
+    of the product of ``factors``, term maps of t_i terms of degree d_i with a
+    distinct letters in all.  Values are clipped where they are already over
+    the budget, so no large integer is built."""
     clip = MAX_POWER_TERMS.bit_length()  # 2**clip > MAX_POWER_TERMS
-    letters = len({ch for word in terms for ch in word})
-    length = k * max(map(len, terms), default=0)
+    letters = len(set().union(*(word for terms in factors for word in terms)))
+    length = sum(max(map(len, terms), default=0) for terms in factors)
     if letters == 1:
         count = length + 1
     else:
         count = sum(letters**L for L in range(min(length, clip) + 1))
-    return min(len(terms) ** min(k, clip), count)
+    product = 1
+    for terms in factors:
+        product = min(product * len(terms), MAX_POWER_TERMS + 1)
+    return min(product, count)
 
 
 def words(poly: SpinPolynomial) -> Dict[SpinWord, ComplexRational]:
     """The word expansion {word: coefficient} of ``poly``, without zero terms.
 
-    A power whose expansion ``_power_terms_estimate`` puts above
-    ``MAX_POWER_TERMS`` terms is refused before it is expanded.
+    A product or power whose expansion ``_terms_estimate`` puts above
+    ``MAX_POWER_TERMS`` terms is refused before it is multiplied out.
     """
     kind, args = poly.kind, poly.args
     if kind == "letter":
@@ -168,14 +172,10 @@ def words(poly: SpinPolynomial) -> Dict[SpinWord, ComplexRational]:
         return {(): args[0]} if args[0] else {}
     if kind == "sum":
         return functools.reduce(_add_words, map(words, args))
-    if kind == "power":
-        base, k = words(args[0]), args[1]
-        if _power_terms_estimate(base, k) > MAX_POWER_TERMS:
-            raise ResourceLimitError(f"power {k} of a {len(base)}-term polynomial "
-                                     f"would have more than {MAX_POWER_TERMS} terms")
-        factors = [base] * k
-    else:
-        factors = map(words, args)
+    factors = [words(args[0])] * args[1] if kind == "power" else list(map(words, args))
+    if _terms_estimate(factors) > MAX_POWER_TERMS:
+        raise ResourceLimitError(f"a product of {len(factors)} factors "
+                                 f"would have more than {MAX_POWER_TERMS} terms")
     return functools.reduce(_multiply_words, factors, {(): ComplexRational(1)})
 
 
@@ -447,22 +447,24 @@ class TraceResult:
 
 def _render_decimal(result_n: int, exact: ComplexRational,
                     sqrt_n: ComplexRational, digits: int) -> str:
-    ctx = decimal.Context(prec=digits + 10, rounding=decimal.ROUND_HALF_EVEN)
     out_ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
 
     def frac(f: Fraction):
-        return ctx.divide(decimal.Decimal(f.numerator), decimal.Decimal(f.denominator))
+        return decimal.Decimal(f.numerator) / f.denominator
 
     whole = math.isqrt(result_n)
     if whole * whole == result_n:  # an exact root leaves no trailing zeros
         exact, sqrt_n = exact + sqrt_n * whole, ComplexRational(0)
-    root = ctx.sqrt(decimal.Decimal(result_n)) if sqrt_n else decimal.Decimal(0)
-    re = out_ctx.plus(frac(exact.re) + frac(sqrt_n.re) * root)
-    im = out_ctx.plus(frac(exact.im) + frac(sqrt_n.im) * root)
-    if im == 0:
-        return str(re)
-    sign = "+" if im >= 0 else "-"
-    return f"{re}{sign}{abs(im)}i"
+    # every operation below rounds in this context, not the caller's
+    with decimal.localcontext(decimal.Context(prec=digits + 10,
+                                              rounding=decimal.ROUND_HALF_EVEN)):
+        root = decimal.Decimal(result_n).sqrt() if sqrt_n else decimal.Decimal(0)
+        re = out_ctx.plus(frac(exact.re) + frac(sqrt_n.re) * root)
+        im = out_ctx.plus(frac(exact.im) + frac(sqrt_n.im) * root)
+        if im == 0:
+            return str(re)
+        sign = "+" if im >= 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
 
 def _node_values(n: int, rows) -> list:

@@ -38,7 +38,7 @@ from . import spin_core
 from .boson import NormalForm
 from .rationals import ComplexRational
 from .spin_core import SpinPolynomial, Z
-from .thermal import THEOREM_STATE
+from .thermal import THEOREM_STATE, ThermalState, thermal_expect
 
 #: decimal digits of the first sum in ``spin_thermal_expectation``
 WORKING_DIGITS = 50
@@ -249,17 +249,14 @@ def spin_thermal_dense_oracle(
 def boson_thermal_expectation(params: XYParams, form: NormalForm) -> Fraction:
     """Large-N boson-side XY expectation of a normal-ordered observable.
 
-    With x = 1/3 and B = 1 - 2 gamma/kT, a diagonal term a+^m a^m takes the
-    value m! (x / (1 - B x))^m.
+    In the joint reading the XY weight leaves a thermal oscillator at
+    hbar*omega'/kT = ln(3 + 2g), g = gamma/kT: the x = 1/3 state becomes
+    x' = x / (1 + 2 g x) = 1 / (3 + 2g), so a+^m a^m takes m! nbar'^m with
+    nbar' = 1 / (2 + 2g), and <S+S- + S-S+> -> 2 nbar' = 1 / (1 + g).
     """
     _require_valid(params)
     x = THEOREM_STATE.x
-    ratio = x / (1 - (1 - 2 * params.g) * x)
-    total = ComplexRational(0)
-    for (m, n), c in form.terms.items():
-        if m == n:
-            total = total + c * (math.factorial(m) * ratio**m)
-    return total.as_fraction()
+    return thermal_expect(ThermalState(x / (1 + 2 * params.g * x)), form).as_fraction()
 
 
 def partition_function(params: XYParams) -> float:

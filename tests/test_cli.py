@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 import spinboson
-from spinboson.cli import main
+from spinboson.cli import _COMMANDS, main
 from spinboson.moments import limit_moment
 from spinboson.parsing import parse_polynomial
 from spinboson.spin_core import check_trace_budget
@@ -518,3 +518,52 @@ def test_xy_takes_one_n(capsys):
     payload = json.loads(out)
     assert payload["inputs"]["n"] == 16
     assert payload["results"][0]["expectation_spin"] is not None
+
+
+def test_digits_above_28_render_in_full(capsys):
+    sz4 = "0.1696428571428571428571428571428571428571"  # 19/112
+    code, out, _ = run(capsys, "trace", "--expr", "Sz^4", "--n", "7", "--digits", "40")
+    assert code == 0 and out == f"N=7: {sz4}\n"
+    code, out, _ = run(capsys, "oracle", "--expr", "Sz^4", "--n", "7", "--digits", "40")
+    assert code == 0 and out == f"N=7: engine {sz4}  dense {sz4}  MATCH\n"
+    # -sqrt(2)/8, the radical part
+    code, out, _ = run(capsys, "trace", "--expr", "S+*Sz*S-", "--n", "2", "--digits", "40")
+    assert code == 0 and out == "N=2: -0.1767766952966368811002110905262122598212\n"
+
+
+@pytest.mark.parametrize("argv", [("normal-order",), ("oracle", "--n", "2")])
+def test_product_budget_exits_before_expanding(capsys, argv):
+    # 3^14 = 4.8e6 words: each factor is within the budget, their product not
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--expr", "(S+ + S- + Sz)^7*(S+ + S- + Sz)^7")
+    assert code == 2 and out == "" and "more than 1000000 terms" in err
+    assert time.perf_counter() - start < 1.0
+
+
+ONE_OF_EACH_COMMAND = [
+    ("trace", "--expr", "Sz^2", "--n-list", "4,8"),
+    ("moments", "--max-l", "2"),
+    ("verify", "--expr", "S+*S-", "--n-list", "8,16"),
+    ("xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-", "--n", "16"),
+    ("normal-order", "--expr", "Sz*Sz*S+*S-"),
+    ("oracle", "--expr", "Sz^2", "--n-list", "2,4"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", ONE_OF_EACH_COMMAND, ids=lambda argv: argv[0])
+def test_every_command_writes_one_output(tmp_path, capsys, argv, fmt):
+    assert {a[0] for a in ONE_OF_EACH_COMMAND} == set(_COMMANDS)
+    code, printed, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and printed.endswith("\n")
+    path = tmp_path / "out"
+    code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(path))
+    assert code == 0 and out == ""
+    # print adds one newline; a file gets one unless the output ends in one
+    body = printed[:-1]
+    with open(path, newline="") as fh:
+        assert fh.read() == (body if body.endswith("\n") else body + "\n")
+    if fmt == "json":
+        payload = json.loads(printed)
+        assert list(payload) == ["command", "inputs", "results"]
+        assert payload["command"] == argv[0]

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -313,6 +314,19 @@ def test_power_budget_rejects_before_expanding():
     assert len(words(parse_polynomial("(1 + Sz)^30"))) == 31
 
 
+@pytest.mark.parametrize("expr", [
+    "(S+ + S- + Sz)^8",
+    "(S+ + S- + Sz)^4*(S+ + S- + Sz)^4",
+    "(S+ + S- + Sz)^2*(S+ + S- + Sz)^2*(S+ + S- + Sz)^2*(S+ + S- + Sz)*(S+ + S- + Sz)",
+])
+def test_product_budget_rejects_like_a_power(monkeypatch, expr):
+    # 3^8 = 6561 words, whether written as a power or as a product
+    monkeypatch.setattr(spin_core, "MAX_POWER_TERMS", 100)
+    with pytest.raises(ResourceLimitError, match="more than 100 terms"):
+        words(parse_polynomial(expr))
+    assert len(words(parse_polynomial("(S+ + S- + Sz)^2*(S+ + S- + Sz)^2"))) == 81
+
+
 def test_float_path_is_labeled_and_close():
     poly = _sx(4)
     exact = normalized_trace(200, poly)
@@ -356,6 +370,25 @@ def test_decimal_rendering_faithful():
     # exact value 2999/16000 = 0.1874375, round-half-even to six figures
     assert res.exact.re == Fraction(2999, 16000)
     assert res.decimal == "0.187438"
+
+
+def test_decimal_rendering_at_any_precision():
+    # 19/112 and -sqrt(2)/8 (the radical part) to 40 digits, not 28
+    assert normalized_trace(7, parse_polynomial("Sz^4"), digits=40).decimal == (
+        "0.1696428571428571428571428571428571428571")
+    assert normalized_trace(2, parse_polynomial("S+*Sz*S-"), digits=40).decimal == (
+        "-0.1767766952966368811002110905262122598212")
+    i_sz4 = node("product", node("constant", ComplexRational(0, 1)),
+                 parse_polynomial("Sz^4"))
+    assert normalized_trace(7, i_sz4, digits=40).decimal == (
+        "0+0.1696428571428571428571428571428571428571i")
+
+
+def test_decimal_rendering_ignores_the_callers_context():
+    h5 = parse_polynomial("(S+*S- + S-*S+)^5")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        assert normalized_trace(2000, h5, digits=12).decimal == "119.670383544"
 
 
 def test_odd_word_sqrt_part_against_oracle():

@@ -260,15 +260,16 @@ def test_spin_thermal_resource_budget():
 
 def test_boson_expectation_against_weighted_thermal_sum():
     # the weight base B = 1 - 2 g on the x = 1/3 state, with each a+^m a^m
-    # divided by B^m, is a second route to the closed form
-    params = XYParams(Fraction(1), Fraction(4))
+    # divided by B^m, is a second route to the closed form; B > 1 at g < 0
     form = NormalForm({(1, 1): 3, (2, 2): Fraction(1, 2), (0, 0): 1})
-    base = 1 - 2 * params.g
-    mapped = NormalForm({(m, n): ComplexRational.coerce(c) / base**m
-                         for (m, n), c in form.terms.items()})
-    num = thermal_expect_weighted(THEOREM_STATE, base, mapped)
-    den = thermal_expect_weighted(THEOREM_STATE, base, NormalForm.identity())
-    assert (num / den).as_fraction() == boson_thermal_expectation(params, form)
+    for gamma in (Fraction(1), Fraction(-2), Fraction(-16, 5)):
+        params = XYParams(gamma, Fraction(4))
+        base = 1 - 2 * params.g
+        mapped = NormalForm({(m, n): ComplexRational.coerce(c) / base**m
+                             for (m, n), c in form.terms.items()})
+        num = thermal_expect_weighted(THEOREM_STATE, base, mapped)
+        den = thermal_expect_weighted(THEOREM_STATE, base, NormalForm.identity())
+        assert (num / den).as_fraction() == boson_thermal_expectation(params, form)
 
 
 def test_boundary_divergence():
