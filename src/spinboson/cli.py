@@ -38,9 +38,9 @@ def _build_parser():
     def common(p, expr=True, n=True, digits=True):
         if expr:
             p.add_argument("--expr", help="polynomial over S+, S-, Sz")
-        if n:
-            p.add_argument("--n", type=int, help="number of spin-1/2 sites")
-            p.add_argument("--n-list", help="comma-separated site counts")
+        if n:  # two spellings of one list: the later flag wins
+            p.add_argument("--n", "--n-list", type=_sizes, metavar="N[,N...]",
+                           help="number of spin-1/2 sites, or comma-separated counts")
         if digits:
             p.add_argument("--digits", type=int, default=12,
                            help="rendered decimal precision (default 12)")
@@ -97,7 +97,7 @@ def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
                     value = {"true": True, "false": False}[value.lower()]
                 elif action.type is not None:
                     value = action.type(value)
-            except (KeyError, ValueError):
+            except (KeyError, ValueError, argparse.ArgumentTypeError):
                 raise ValueError(
                     f"config key {key!r}: invalid value {value!r}"
                 ) from None
@@ -109,12 +109,11 @@ def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
     command.set_defaults(**defaults)
 
 
-def _n_values(args) -> list:
-    if args.n_list:
-        return [int(v) for v in args.n_list.split(",")]
-    if args.n is not None:
-        return [args.n]
-    raise ValueError("provide --n or --n-list")
+def _sizes(text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid site counts {text!r}") from None
 
 
 def _emit(args, inputs: dict, results, lines, rows) -> None:
@@ -123,7 +122,7 @@ def _emit(args, inputs: dict, results, lines, rows) -> None:
     ``rows``."""
     if args.format == "json":
         out = json.dumps({"command": args.command, "inputs": inputs,
-                          "results": results}, indent=2)
+                          "results": results}, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -131,18 +130,18 @@ def _emit(args, inputs: dict, results, lines, rows) -> None:
         writer.writerows(rows)
         out = buf.getvalue()
     else:
-        out = "\n".join(lines)
+        out = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(out if out.endswith("\n") else out + "\n")
+            fh.write(out)
     else:
-        print(out)
+        sys.stdout.write(out)
 
 
 def _per_n(args, step, **inputs):
     """A command's output from ``step(n)`` -> (text line, row) for each
     requested N; ``inputs`` follow the expression and the N values."""
-    n_values = _n_values(args)
+    n_values = _require(args, "n")
     lines, rows = zip(*map(step, n_values))
     return {"expr": args.expr, "N": n_values, **inputs}, rows, lines, rows
 
@@ -181,7 +180,7 @@ def _cmd_moments(args):
 
 def _cmd_verify(args):
     expr = parse_polynomial(_require(args, "expr"))
-    report = bridge.verify_theorem(expr, _n_values(args), digits=args.digits)
+    report = bridge.verify_theorem(expr, _require(args, "n"), digits=args.digits)
     lines = []
     for n, dec, err in zip(report.n_values, report.spin_decimals,
                            report.abs_errors):
@@ -208,8 +207,8 @@ def _cmd_xy(args):
     params = xy.XYParams(Fraction(_require(args, "gamma")),
                          Fraction(_require(args, "kt")))
     n = None
-    if args.n is not None or args.n_list:
-        n, *rest = _n_values(args)
+    if args.n is not None:
+        n, *rest = args.n
         if rest:
             raise ValueError("xy takes one N; give --n or a one-value --n-list")
     report = xy.validity_check(params)

@@ -8,19 +8,19 @@ so the normalized trace of a word of length L is
     2^{-N} N^{-L/2} sum_j d(N, j) tr_j(word).
 
 The per-sector trace is evaluated symbolically: an expression tree is
-evaluated in the Dyson-Maleev gauge, where the diagonal of each part is a
-polynomial in a = 4j(j+1) and u = 2m with integer coefficients.
-``fold_diagonals`` sums these polynomials, with their letter scales, into
-integer tables over one common denominator, and ``sector_sums`` sums a table
-against a weight over every (j, m) cell in one pass over the sectors, from
-running sums of the even powers of m.  The exact trace and the XY thermal
-expectation differ only in that weight; the binary64 trace rounds the exact
-one.  Every site operator is traceless, so 2^{-n} tr_n of an L-letter word is
-a polynomial in n of degree <= L/2 for all n >= 1: above ``CROSSOVER_N``
-sites the tables folded at N are summed at n = 1 ... L/2 + 2 only, and the
-exact polynomial through all but the last node, which checks it, is
-evaluated at N.  A dense tensor-product oracle over the 2^N space checks
-small N.
+evaluated in the Dyson-Maleev gauge, where the diagonal of each letter count
+is a polynomial in a = 4j(j+1) and u = 2m with integer coefficients.
+``monomial_rows`` lists the monomials a^k u^(2i) these diagonals hold (odd
+powers of u cancel), and ``sector_moments`` sums each monomial against a
+weight over every (j, m) cell in one pass over the sectors, from running
+sums of the even powers of m; a diagonal's sum is its coefficients times
+those sums.  The exact trace and the XY thermal expectation differ only in
+that weight; the binary64 trace rounds the exact one.  Every site operator
+is traceless, so 2^{-n} tr_n of an L-letter word is a polynomial in n of
+degree <= L/2 for all n >= 1: above ``CROSSOVER_N`` sites the sums are taken
+at n = 1 ... L/2 + 2 only, and the exact polynomial through all but the
+last node, which checks it, is evaluated at N.  A dense tensor-product
+oracle over the 2^N space checks small N.
 """
 
 from __future__ import annotations
@@ -340,68 +340,43 @@ def _word_diag_poly(word: SpinWord) -> _Poly2 | None:
     return _sector_trace_poly(node("product", *letters)).get((len(word), 0))
 
 
-def _p1_eval(coeffs: Sequence[int], x: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
-
-
 def letter_scale(N: int, L: int) -> Tuple[int, bool]:
     """N^{-L/2} as 1 / divisor, and whether sqrt(N) multiplies it."""
     return N ** ((L + 1) // 2), L % 2 == 1
 
 
-def fold_diagonals(N: int, poly: SpinPolynomial):
-    """The diagonal of ``poly`` at N sites.
-
-    The diagonal polynomials in (a, u) of every letter count L, with their
-    scales N^{-L/2}, are summed exactly into integer tables, one for each
-    combination of a rational or sqrt(N) scale and a real or imaginary part,
-    over one denominator in lowest terms: (rows, denominator, radical,
-    imaginary), rows[ku][ka] / denominator the coefficient of a^ka u^ku.
-    """
-    diagonal = _sector_trace_poly(poly)
-    degree = max((L for L, _ in diagonal), default=0)
-    top = letter_scale(N, degree)[0]
-    tables = {}
-    for (L, imaginary), dp in diagonal.items():
-        divisor, radical = letter_scale(N, L)
-        scale = 2 ** (degree - L) * (top // divisor)
-        rows = tables.setdefault((radical, imaginary),
-                                 [[0] * (degree // 2 + 1) for _ in range(degree + 1)])
+def monomial_rows(diagonals: Sequence[_Poly2]):
+    """The monomials a^k u^(2i) that ``diagonals`` hold, as sorted keys (i, k)
+    with (0, 0) first, and each diagonal's coefficients in ``keys`` order.
+    Odd powers of u are dropped: they sum to zero over every sector."""
+    keys = sorted({(ku // 2, ka) for dp in diagonals for ka, ku in dp if ku % 2 == 0}
+                  | {(0, 0)})
+    index = {key: i for i, key in enumerate(keys)}
+    rows = []
+    for dp in diagonals:
+        row = [0] * len(keys)
         for (ka, ku), c in dp.items():
-            rows[ku][ka] += scale * c
-    denominator = 2**degree * top * poly.den
-    common = math.gcd(denominator, *(c for rows in tables.values()
-                                     for row in rows for c in row))
-    return [([[c // common for c in row] for row in rows], denominator // common,
-             radical, imaginary)
-            for (radical, imaginary), rows in sorted(tables.items())
-            if any(any(row) for row in rows)]
+            if ku % 2 == 0:
+                row[index[ku // 2, ka]] = c
+        rows.append(row)
+    return keys, rows
 
 
-#: the table of the identity operator, appended to a sector sum to normalize it
-IDENTITY_TABLE = [[1]]
+def sector_moments(N: int, keys, weights, rhos) -> list:
+    """Sum w_j rho(u) u^(2i) a^k over the cells (j, m) of N sites, per key (i, k).
 
-
-def sector_sums(N: int, tables, weights, rhos) -> list:
-    """Sum w_j rho(u) T(a, u) over the cells (j, m) of N sites, per table T.
-
-    Tables hold T as rows[ku][ka], the coefficient of a^ka u^ku, with
-    a = 2j(2j + 2) and u = 2m.  ``weights`` yields w_j and ``rhos`` yields
-    rho(2j) for 2j = N mod 2, N mod 2 + 2, ..., N.  rho must be even in u,
-    so the odd powers of u cancel over u = -2j..2j and the even ones come
-    from running sums of rho(u) u^k over the sectors.  The arithmetic is that
-    of the weights and rhos: exact int multiplicities and ones for traces
-    (there are no binary64 weights; the float trace rounds the exact one), or
-    ``decimal.Decimal`` Boltzmann factors for XY.  The table polynomials are
-    evaluated exactly at the integer a; only the weighted sums round.
+    Here a = 2j(2j + 2) and u = 2m.  ``weights`` yields w_j and ``rhos``
+    yields rho(2j) for 2j = N mod 2, N mod 2 + 2, ..., N.  rho must be even
+    in u, so the sum of rho(u) u^(2i) over |u| <= 2j is a running sum over
+    the sectors.  The arithmetic is that of the weights and rhos: exact int
+    multiplicities and ones for traces (there are no binary64 weights; the
+    float trace rounds the exact one), or ``decimal.Decimal`` Boltzmann
+    factors for XY.  ``keys`` are sorted with (0, 0) first, as
+    ``monomial_rows`` makes them, so ``sums[0]`` is the total weight.
     """
-    evens = [rows[::2] for rows in tables]
-    # moments[i]: sum of rho(u) u^(2i) over |u| <= 2j
-    moments = [0] * max(len(rows) for rows in evens)
-    totals = [0] * len(tables)
+    moments = [0] * (keys[-1][0] + 1)  # moments[i]: sum of rho(u) u^(2i)
+    top = max(k for _, k in keys)
+    sums = [0] * len(keys)
     for tj, w, rho in zip(range(N % 2, N + 1, 2), weights, rhos):
         term = rho if tj == 0 else 2 * rho
         uu = tj * tj
@@ -409,10 +384,11 @@ def sector_sums(N: int, tables, weights, rhos) -> list:
             moments[i] += term
             term *= uu
         a = tj * (tj + 2)
-        for t, rows in enumerate(evens):
-            totals[t] += w * sum(_p1_eval(row, a) * m
-                                 for row, m in zip(rows, moments))
-    return totals
+        scaled = [w]  # w a^k
+        for _ in range(top):
+            scaled.append(scaled[-1] * a)
+        sums = [s + scaled[k] * moments[i] for s, (i, k) in zip(sums, keys)]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +443,11 @@ def _render_decimal(result_n: int, exact: ComplexRational,
         return f"{re}{sign}{abs(im)}i"
 
 
-def _node_values(n: int, rows) -> list:
-    """Sector sums of the tables ``rows`` at n sites over the identity's 2^n."""
-    *sums, total = sector_sums(
-        n, rows + [IDENTITY_TABLE], (s.multiplicity for s in irrep_sectors(n)),
-        itertools.repeat(1))
-    return [Fraction(s, total) for s in sums]
+def _node_values(n: int, keys, rows) -> list:
+    """Each row's sum over the cells of n sites, over the identity's 2^n."""
+    sums = sector_moments(n, keys, (s.multiplicity for s in irrep_sectors(n)),
+                          itertools.repeat(1))
+    return [Fraction(sum(c * s for c, s in zip(row, sums)), sums[0]) for row in rows]
 
 
 def _lagrange(values: Sequence[Fraction], x: int) -> Fraction:
@@ -483,14 +458,14 @@ def _lagrange(values: Sequence[Fraction], x: int) -> Fraction:
                for i, v in zip(nodes, values))
 
 
-def _interpolated_values(N: int, rows, degree: int) -> list:
-    """``_node_values(N, rows)`` from the nodes n = 1 ... degree // 2 + 2.
+def _interpolated_values(N: int, keys, rows, degree: int) -> list:
+    """``_node_values(N, keys, rows)`` from the nodes n = 1 ... degree // 2 + 2.
 
     Each value is a polynomial in n of degree <= degree // 2, fixed by all but
     the last node; a mismatch at the last one raises ArithmeticError.
     """
     out = []
-    for *fit, check in zip(*(_node_values(n, rows)
+    for *fit, check in zip(*(_node_values(n, keys, rows)
                              for n in range(1, degree // 2 + 3))):
         if _lagrange(fit, len(fit) + 1) != check:
             raise ArithmeticError(
@@ -503,19 +478,22 @@ def normalized_trace(N: int, poly: SpinPolynomial, digits: int = 12,
                      use_float: bool = False) -> TraceResult:
     """Exact 2^{-N} trace of a polynomial with 1/sqrt(N) per letter.
 
-    Up to ``CROSSOVER_N`` sites the N + 1 sectors are summed directly; above
-    it the same tables are summed at a few small n and interpolated in n.
-    Set ``use_float`` to round the exact value to binary64; the result is
-    then labeled with ``float_path=True`` and ``exact`` holds the rounding.
+    Each letter count's diagonal is summed over the N + 1 sectors up to
+    ``CROSSOVER_N`` sites; above it the same sums are taken at a few small n
+    and interpolated in n.  Set ``use_float`` to round the exact value to
+    binary64; the result is then labeled with ``float_path=True`` and
+    ``exact`` holds the rounding.
     """
     check_trace_budget(N, poly)
-    tables = fold_diagonals(N, poly)
-    rows = [table[0] for table in tables]
-    values = (_node_values(N, rows) if N <= CROSSOVER_N
-              else _interpolated_values(N, rows, len(rows[0]) - 1 if rows else 0))
+    diagonal = _sector_trace_poly(poly)
+    keys, rows = monomial_rows(list(diagonal.values()))
+    degree = max((L for L, _ in diagonal), default=0)
+    values = (_node_values(N, keys, rows) if N <= CROSSOVER_N
+              else _interpolated_values(N, keys, rows, degree))
     parts = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-    for (_, lcd, radical, imaginary), v in zip(tables, values):
-        parts[radical][imaginary] = v / lcd
+    for (L, imaginary), v in zip(diagonal, values):
+        divisor, radical = letter_scale(N, L)
+        parts[radical][imaginary] += v / (divisor * 2**L * poly.den)
     exact, sqrt_n = (ComplexRational(*p) for p in parts)
     if use_float:
         return _normalized_trace_float(N, exact, sqrt_n, digits)

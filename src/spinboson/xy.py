@@ -155,11 +155,13 @@ def spin_thermal_expectation(params: XYParams, N: int, poly: SpinPolynomial) -> 
     The H eigenvalue (2 gamma / N)(j(j+1) - m^2) makes the Boltzmann weight
     of a cell exp(-g a / 2N) exp(g u^2 / 2N), with a = 2j(2j + 2), u = 2m and
     g = gamma / kT: one sector weight and one even factor in u, built by
-    recurrence from a single ``exp`` and summed in ``decimal`` against the
-    exact diagonal tables.  The finite-N trace exists for any parameters, but
-    far outside the bosonization bounds the signed sector terms cancel.  The
-    same pass therefore sums a bound on the terms' magnitudes, from the table
-    of absolute coefficients.  The first pass has ``WORKING_DIGITS`` digits;
+    recurrence from a single ``exp``.  One pass in ``decimal`` sums every
+    monomial a^k u^(2i) of the exact diagonal against them; each letter
+    count's coefficients times those sums give the numerator.  The finite-N
+    trace exists for any parameters, but far outside the bosonization bounds
+    the signed terms cancel.  The sums are positive, so the absolute
+    coefficients times the same sums bound the terms' magnitudes.  The first
+    pass has ``WORKING_DIGITS`` digits;
     while fewer than ``GUARD_DIGITS`` of them survive the cancellation that
     the bound allows, the sum is rerun with more.  A result whose rounding
     error is below the smallest binary64 number is final too, so an
@@ -169,37 +171,33 @@ def spin_thermal_expectation(params: XYParams, N: int, poly: SpinPolynomial) -> 
     if (N + 1) * max(1, poly.degree) > MAX_TRACE_CELLS:
         raise spin_core.ResourceLimitError(
             f"{N + 1} sectors x degree {poly.degree} exceed {MAX_TRACE_CELLS} cells")
-    tables = spin_core.fold_diagonals(N, poly)
-    if any(imaginary for *_, imaginary in tables):
+    diagonal = spin_core._sector_trace_poly(poly)
+    if any(imaginary for _, imaginary in diagonal):
         raise ValueError("thermal expectation requires real coefficients")
-    if not tables:
+    if not diagonal:
         return 0.0
-    # a >= 0 and only even powers of u survive, so the absolute coefficients,
-    # with sqrt(N) rounded up, bound the sum of |terms|
-    root = 1 + math.isqrt(N - 1)
-    magnitude = [[sum(abs(rows[ku][ka]) * (root if radical else 1)
-                      for rows, _, radical, _ in tables)
-                  for ka in range(len(row))]
-                 for ku, row in enumerate(tables[0][0])]
+    keys, rows = spin_core.monomial_rows(list(diagonal.values()))
     digits = WORKING_DIGITS
     while True:
         context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX,
                                   Emin=decimal.MIN_EMIN)
         with decimal.localcontext(context):
-            *sums, bound, total = spin_core.sector_sums(
-                N, [rows for rows, *_ in tables]
-                + [magnitude, spin_core.IDENTITY_TABLE],
-                *_boltzmann_factors(params.g, N))
-            num = sum((s * context.sqrt(N) if radical else s
-                       for s, (_, _, radical, _) in zip(sums, tables)),
-                      decimal.Decimal(0))
-            scale = tables[0][1] * total
+            sums = spin_core.sector_moments(N, keys, *_boltzmann_factors(params.g, N))
+            # the sums are positive, so |c| . sums bounds the sum of |terms|
+            num = bound = decimal.Decimal(0)
+            for (L, _), row in zip(diagonal, rows):
+                divisor, radical = spin_core.letter_scale(N, L)
+                scale = ((context.sqrt(N) if radical else 1)
+                         / decimal.Decimal(divisor * 2**L * poly.den))
+                num += scale * sum(c * s for c, s in zip(row, sums))
+                bound += scale * sum(abs(c) * s for c, s in zip(row, sums))
+            total = sums[0]
             # slack bounds the rounding error of num with GUARD_DIGITS to
             # spare: num is final when it exceeds slack, or when the error
             # is below every binary64 number
             slack = bound.scaleb(GUARD_DIGITS - digits)
-            if slack <= abs(num) or slack < _SMALLEST_FLOAT * scale:
-                return float(num / scale)
+            if slack <= abs(num) or slack < _SMALLEST_FLOAT * total:
+                return float(num / total)
             loss = bound.adjusted() - num.adjusted() + 1 if num else digits
         digits = max(2 * digits, loss + 2 * GUARD_DIGITS)
 

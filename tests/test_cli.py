@@ -219,7 +219,7 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for text in ("bogus_key=hello\n", "digits=many\n", "format=xml\n",
-                 "float=maybe\n", "max-l=2\n", "help=true\n"):
+                 "float=maybe\n", "max-l=2\n", "help=true\n", "n_list=3,,4\n"):
         cfg.write_text(text)
         code, _, err = run(
             capsys, "--config", str(cfg), "trace", "--expr", "Sz", "--n", "4"
@@ -520,6 +520,30 @@ def test_xy_takes_one_n(capsys):
     assert payload["results"][0]["expectation_spin"] is not None
 
 
+def test_command_line_n_wins_over_the_config_n_list(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for key in ("n_list", "n-list", "n"):
+        cfg.write_text(f"{key} = 4,6\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "trace", "--expr", "Sz^2")
+        assert code == 0 and out == "N=4: 0.25\nN=6: 0.25\n"
+        code, out, _ = run(capsys, "--config", str(cfg), "trace", "--expr", "Sz^2",
+                           "--n", "5")
+        assert code == 0 and out == "N=5: 0.25\n"
+
+
+def test_later_of_n_and_n_list_wins(capsys):
+    code, out, _ = run(capsys, "trace", "--expr", "Sz^2", "--n", "5", "--n-list", "7,9")
+    assert code == 0 and out == "N=7: 0.25\nN=9: 0.25\n"
+    code, out, _ = run(capsys, "trace", "--expr", "Sz^2", "--n-list", "7,9", "--n", "5")
+    assert code == 0 and out == "N=5: 0.25\n"
+
+
+def test_bad_n_list_entry_names_the_flag(capsys):
+    code, out, err = run(capsys, "trace", "--expr", "Sz^2", "--n-list", "3,,4")
+    assert code == 1 and out == ""
+    assert err == "error: argument --n/--n-list: invalid site counts '3,,4'\n"
+
+
 def test_digits_above_28_render_in_full(capsys):
     sz4 = "0.1696428571428571428571428571428571428571"  # 19/112
     code, out, _ = run(capsys, "trace", "--expr", "Sz^4", "--n", "7", "--digits", "40")
@@ -559,10 +583,8 @@ def test_every_command_writes_one_output(tmp_path, capsys, argv, fmt):
     path = tmp_path / "out"
     code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(path))
     assert code == 0 and out == ""
-    # print adds one newline; a file gets one unless the output ends in one
-    body = printed[:-1]
     with open(path, newline="") as fh:
-        assert fh.read() == (body if body.endswith("\n") else body + "\n")
+        assert fh.read() == printed
     if fmt == "json":
         payload = json.loads(printed)
         assert list(payload) == ["command", "inputs", "results"]

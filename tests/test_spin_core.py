@@ -7,25 +7,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinboson import spin_core
+from spinboson import spin_core, xy
 from spinboson.cli import main
 from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
 from spinboson.spin_core import (
     CROSSOVER_N,
-    IDENTITY_TABLE,
     MINUS,
     PLUS,
     Z,
     ResourceLimitError,
+    _sector_trace_poly,
     _word_diag_poly,
     dense_oracle_trace,
-    fold_diagonals,
+    letter_scale,
+    monomial_rows,
     node,
     irrep_multiplicity,
     irrep_sectors,
     normalized_trace,
-    sector_sums,
+    sector_moments,
     words,
 )
 
@@ -403,14 +404,17 @@ def test_odd_word_sqrt_part_against_oracle():
 
 
 def _direct_trace(N, poly):
-    """(exact, sqrt_n) from one sector_sums pass over all N + 1 sectors."""
-    tables = fold_diagonals(N, poly)
-    *sums, total = sector_sums(
-        N, [rows for rows, *_ in tables] + [IDENTITY_TABLE],
-        (s.multiplicity for s in irrep_sectors(N)), [1] * (N // 2 + 1))
+    """(exact, sqrt_n) from one sector_moments pass over all N + 1 sectors."""
+    diagonal = _sector_trace_poly(poly)
+    keys, rows = monomial_rows(list(diagonal.values()))
+    sums = sector_moments(N, keys, (s.multiplicity for s in irrep_sectors(N)),
+                          [1] * (N // 2 + 1))
     parts = [[0, 0], [0, 0]]
-    for (_, lcd, radical, imaginary), s in zip(tables, sums):
-        parts[radical][imaginary] = Fraction(s, lcd * total)
+    for (L, imaginary), row in zip(diagonal, rows):
+        divisor, radical = letter_scale(N, L)
+        parts[radical][imaginary] += Fraction(
+            sum(c * s for c, s in zip(row, sums)),
+            sums[0] * divisor * 2**L * poly.den)
     return tuple(ComplexRational(*p) for p in parts)
 
 
@@ -450,8 +454,8 @@ def test_interpolated_trace_against_dense_oracle(monkeypatch):
 def test_corrupted_node_raises(monkeypatch, capsys, node):
     original = spin_core._node_values
 
-    def corrupted(n, rows):
-        values = original(n, rows)
+    def corrupted(n, keys, rows):
+        values = original(n, keys, rows)
         return [v + 1 for v in values] if n == node else values
 
     monkeypatch.setattr(spin_core, "_node_values", corrupted)
@@ -459,6 +463,47 @@ def test_corrupted_node_raises(monkeypatch, capsys, node):
         normalized_trace(1000, parse_polynomial("Sz^2"))
     assert main(["trace", "--expr", "Sz^2", "--n", "1000"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_monomial_rows_drop_odd_powers_of_u():
+    keys, rows = monomial_rows([{(1, 0): 3, (0, 1): 5, (0, 2): -1},
+                                {(0, 3): 2, (2, 0): 1}])
+    assert keys == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert rows == [[0, 3, 0, -1], [0, 0, 1, 0]]
+
+
+def _cell_sums(N, keys, weights, rhos):
+    """sum_j w_j sum_{|u| <= 2j} rho(|u|) u^(2i) a^k per key (i, k), cell by cell."""
+    rho = dict(zip(range(N % 2, N + 1, 2), rhos))
+    sums = [0] * len(keys)
+    for tj, w in zip(range(N % 2, N + 1, 2), weights):
+        a = tj * (tj + 2)
+        for u in range(-tj, tj + 1, 2):
+            for t, (i, k) in enumerate(keys):
+                sums[t] += w * rho[abs(u)] * u ** (2 * i) * a**k
+    return sums
+
+
+@pytest.mark.parametrize("text", ["(S+*S- + S-*S+)^3", "Sz^4", "S+*Sz^2*S-",
+                                  "S+*S- + Sz^4*S+*S-"])
+def test_sector_moments_equal_cell_sums(text):
+    diagonal = _sector_trace_poly(parse_polynomial(text))
+    keys, _ = monomial_rows(list(diagonal.values()))
+    assert keys[0] == (0, 0) and len(keys) > 1
+    for N in [*range(1, 10), 40, 41]:
+        multiplicities = [s.multiplicity for s in irrep_sectors(N)]
+        ones = [1] * len(multiplicities)
+        assert (sector_moments(N, keys, multiplicities, ones)
+                == _cell_sums(N, keys, multiplicities, ones))
+        for g in (Fraction(1, 4), Fraction(-4, 5)):
+            with decimal.localcontext(decimal.Context(prec=50)):
+                weights, rhos = xy._boltzmann_factors(g, N)
+                got = sector_moments(N, keys, weights, rhos)
+            # the exact cell sums of the same decimal factors; every term is
+            # positive, so each sum keeps about 50 digits
+            want = _cell_sums(N, keys, map(Fraction, weights), map(Fraction, rhos))
+            for x, y in zip(got, want):
+                assert abs(Fraction(x) - y) <= y / 10**45, (N, g)
 
 
 def test_multiplicity_calls_do_not_grow_with_n(monkeypatch):
@@ -537,19 +582,23 @@ def _sy_tree():
                 node("product", node("constant", half_i), node("letter", MINUS)))
 
 
+def _diagonals(tree):
+    """{(L, imaginary): {(ka, ku): c}} of ``tree`` itself, den divided out."""
+    return {key: {k: Fraction(c, tree.den) for k, c in poly.items()}
+            for key, poly in _sector_trace_poly(tree).items()}
+
+
 def test_tree_tables_equal_word_tables():
-    """The tables folded from a parsed tree are those folded from its words,
-    entry for entry and over the same denominator."""
+    """The diagonal of every letter count from a parsed tree is that from its
+    words, coefficient for coefficient."""
     rng = random.Random(13)
-    Ns = [1, 7, 64, CROSSOVER_N, CROSSOVER_N + 1, 3001]
     seen = set()
     for i in range(120):
         text = _random_expr(rng, rng.randint(2, 10))
         tree = parse_polynomial(text)
-        N = Ns[i % len(Ns)]
-        tables = fold_diagonals(N, tree)
-        assert tables == fold_diagonals(N, _tree(words(tree))), (text, N)
-        seen |= {(radical, imaginary) for *_, radical, imaginary in tables}
+        diagonals = _diagonals(tree)
+        assert diagonals == _diagonals(_tree(words(tree))), text
+        seen |= {(L % 2, imaginary) for L, imaginary in diagonals}
     sx = parse_polynomial("(1/2)*S+ + (1/2)*S-")
     sz = parse_polynomial("Sz")
     for i in range(40):
@@ -557,12 +606,11 @@ def test_tree_tables_equal_word_tables():
         tree = node("power", node("product", *factors), rng.randint(1, 2))
         tree = node("sum", tree, node("constant", ComplexRational(
             Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 3))))
-        N = Ns[i % len(Ns)]
-        tables = fold_diagonals(N, tree)
-        assert tables == fold_diagonals(N, _tree(words(tree))), (tree, N)
-        seen |= {(radical, imaginary) for *_, radical, imaginary in tables}
-    # odd lengths leave a sqrt(N) table, Sy products an imaginary one
-    assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
+        diagonals = _diagonals(tree)
+        assert diagonals == _diagonals(_tree(words(tree))), tree
+        seen |= {(L % 2, imaginary) for L, imaginary in diagonals}
+    # odd lengths leave a sqrt(N) part, Sy products an imaginary one
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def _twice_letters(N):

@@ -212,13 +212,13 @@ def _kernel_precisions(monkeypatch, params, N, poly):
     """The value of one call and the decimal precision of each sector sum
     it makes."""
     precisions = []
-    kernel = spin_core.sector_sums
+    kernel = spin_core.sector_moments
 
     def counted(*args):
         precisions.append(decimal.getcontext().prec)
         return kernel(*args)
 
-    monkeypatch.setattr(spin_core, "sector_sums", counted)
+    monkeypatch.setattr(spin_core, "sector_moments", counted)
     return spin_thermal_expectation(params, N, poly), precisions
 
 
