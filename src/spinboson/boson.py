@@ -69,10 +69,7 @@ class BosonSymbol(_TermPolynomial):
     def __repr__(self):
         if not self.terms:
             return "BosonSymbol(0)"
-        parts = []
-        for (m, n), c in sorted(self.terms.items()):
-            mono = "z*^%d z^%d" % (m, n)
-            parts.append(f"({c})*{mono}")
+        parts = [f"({c})*z*^{m} z^{n}" for (m, n), c in sorted(self.terms.items())]
         return "BosonSymbol(" + " + ".join(parts) + ")"
 
 
@@ -85,14 +82,9 @@ class NormalForm(_TermPolynomial):
 
     def diagonal_element(self, level: int) -> ComplexRational:
         """Exact <level| form |level>; only m = n terms contribute."""
-        total = ComplexRational(0)
-        for (m, n), c in self.terms.items():
-            if m != n or m > level:
-                continue
-            total = total + c * Fraction(
-                math.factorial(level), math.factorial(level - m)
-            )
-        return total
+        return sum((c * Fraction(math.factorial(level), math.factorial(level - m))
+                    for (m, n), c in self.terms.items() if m == n <= level),
+                   ComplexRational(0))
 
     def render(self) -> str:
         """Human-readable normal-ordered sum for CLI display."""
@@ -157,8 +149,6 @@ def stirling_first_signed(n: int, ell: int) -> int:
     Row n collects the coefficients of the falling factorial
     u (u-1) ... (u-n+1); they also expand a+^n a^n in powers of a+ a.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not 0 <= ell <= n:
         raise ValueError(f"ell={ell} outside [0, {n}]")
     return stirling_row(n)[ell]

@@ -13,7 +13,9 @@ orderings.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from . import moments, spin_core, thermal
 from .boson import BosonSymbol, NormalForm, normal_order_symbol
 from .rationals import ComplexRational
-from .spin_core import SpinPolynomial, TraceResult, Z, node
+from .spin_core import SpinPolynomial, Z, node
 
 MAX_ORDERING_LETTERS = 10
 
@@ -39,9 +41,7 @@ class ConvergenceReport:
 
     def __post_init__(self):
         if not self.abs_errors:
-            self.abs_errors = [
-                abs(v - self.boson_value) for v in self.spin_values
-            ]
+            self.abs_errors = [abs(v - self.boson_value) for v in self.spin_values]
         if self.fitted_rate is None:
             self.fitted_rate = fit_decay_rate(self.n_values, self.abs_errors)
 
@@ -49,16 +49,13 @@ class ConvergenceReport:
 def fit_decay_rate(n_values: Sequence[int], errors: Sequence[float]):
     """Least-squares slope of log-error against log-N, sign flipped.
 
-    Returns None when fewer than two errors are nonzero; a vanishing error
-    means the finite-N value is already exact.
+    Returns None unless at least two distinct N have a nonzero error; a
+    vanishing error means the finite-N value is already exact.
     """
     pts = [(n, e) for n, e in zip(n_values, errors) if e > 0]
-    if len(pts) < 2:
+    if len({n for n, _ in pts}) < 2:
         return None
-    xs = np.log([p[0] for p in pts])
-    ys = np.log([p[1] for p in pts])
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope)
+    return float(-np.polyfit(*np.log(pts).T, 1)[0])
 
 
 def boson_image(poly: SpinPolynomial) -> NormalForm:
@@ -113,8 +110,9 @@ def ordering_sensitivity(poly: SpinPolynomial, N: int) -> float:
     Measures the part of the spin polynomial that the commuting symbol map
     cannot see; the theorem guarantees it vanishes as N grows.  Every word
     has a real trace, so the spread of a term c w is |c| (max - min) over the
-    orderings of w.
+    orderings of w, each one diagonal of one sector pass, rounded once.
     """
+    spin_core.check_trace_budget(N, poly)
     worst = 0.0
     for word, coeff in spin_core.words(poly).items():
         if len(word) > MAX_ORDERING_LETTERS:
@@ -122,14 +120,22 @@ def ordering_sensitivity(poly: SpinPolynomial, N: int) -> float:
                 f"word of length {len(word)} exceeds the ordering cap "
                 f"{MAX_ORDERING_LETTERS}"
             )
-        traces = [spin_core.normalized_trace(
-                      N, node("product", *(node("letter", ch) for ch in variant)))
-                  for variant in sorted(set(itertools.permutations(word)))]
-        low, high = (TraceResult(N, coeff * t.exact, coeff * t.sqrt_n).approx()
-                     for t in (min(traces, key=TraceResult.real),
-                               max(traces, key=TraceResult.real)))
-        worst = max(worst, abs(high - low))
+        diagonals = [spin_core._word_diag_poly(variant) or {}
+                     for variant in set(itertools.permutations(word))]
+        values = spin_core._diagonal_values(N, diagonals)
+        divisor, radical = spin_core.letter_scale(N, len(word))
+        spread = (max(values) - min(values)) / (divisor * 2 ** len(word))
+        worst = max(worst, _rounded_root(
+            spread**2 * (coeff.re**2 + coeff.im**2) * N**radical))
     return worst
+
+
+def _rounded_root(square: Fraction) -> float:
+    """The binary64 rounding of sqrt(square >= 0): the integer root of square 4^s,
+    of at least 62 bits, plus half a unit if inexact, rounds as the exact root."""
+    s = max(0, 64 - (square.numerator.bit_length() - square.denominator.bit_length()) // 2)
+    root = math.isqrt(math.floor(scaled := square * 4**s))
+    return float(Fraction(2 * root + (root * root != scaled), 2 ** (s + 1)))
 
 
 def position_sector(

@@ -10,6 +10,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -21,6 +22,11 @@ from .spin_core import ResourceLimitError
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors reach ``main`` as ValueError,
     so they exit 1 with one ``error:`` line like every other bad value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a token that starts with one "-", such as "-1/2" or "-Sz^2", is a value
+        self._negative_number_matcher = re.compile("-[^-]")
 
     def error(self, message):
         raise ValueError(message)
@@ -206,9 +212,10 @@ def _cmd_verify(args):
 def _cmd_xy(args):
     params = xy.XYParams(Fraction(_require(args, "gamma")),
                          Fraction(_require(args, "kt")))
-    n = None
-    if args.n is not None:
-        n, *rest = args.n
+    expr = n = None
+    if args.expr is not None or args.n is not None:  # <f> needs both
+        expr = parse_polynomial(_require(args, "expr"))
+        n, *rest = _require(args, "n")
         if rest:
             raise ValueError("xy takes one N; give --n or a one-value --n-list")
     report = xy.validity_check(params)
@@ -229,8 +236,7 @@ def _cmd_xy(args):
         if params.gamma != 0:
             row["T_eff"] = xy.effective_temperature(params)
             lines.append(f"T_eff = {row['T_eff']:.6g}")
-    if args.expr and n is not None:
-        expr = parse_polynomial(args.expr)
+    if expr is not None:
         row["expectation_spin"] = xy.spin_thermal_expectation(params, n, expr)
         lines.append(f"<f>_spin(N={n}) = {row['expectation_spin']:.10g}")
         if report.passed:

@@ -4,8 +4,8 @@ Grammar (whitespace-insensitive)::
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := atom ('^' integer)?
-    atom   := 'S+' | 'S-' | 'Sz' | number | '(' expr ')' | '-' atom
+    factor := '-' factor | atom ('^' integer)?
+    atom   := 'S+' | 'S-' | 'Sz' | number | '(' expr ')'
     number := integer ('/' integer)?
 
 ``parse_polynomial`` builds the expression tree, a ``SpinPolynomial``;
@@ -101,6 +101,9 @@ class _Parser:
         return factors[0] if len(factors) == 1 else node("product", *factors)
 
     def parse_factor(self) -> SpinPolynomial:
+        if self.peek().kind == "op" and self.peek().text == "-":  # -x^k is -(x^k)
+            self.advance()
+            return node("product", _MINUS_ONE, self.parse_factor())
         value = self.parse_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             tok = self.advance()
@@ -113,9 +116,6 @@ class _Parser:
 
     def parse_atom(self) -> SpinPolynomial:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return node("product", _MINUS_ONE, self.parse_atom())
         if tok.kind == "letter":
             self.advance()
             return node("letter", _LETTER_MAP[tok.text])

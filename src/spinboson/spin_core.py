@@ -17,10 +17,11 @@ sums of the even powers of m; a diagonal's sum is its coefficients times
 those sums.  The exact trace and the XY thermal expectation differ only in
 that weight; the binary64 trace rounds the exact one.  Every site operator
 is traceless, so 2^{-n} tr_n of an L-letter word is a polynomial in n of
-degree <= L/2 for all n >= 1: above ``CROSSOVER_N`` sites the sums are taken
-at n = 1 ... L/2 + 2 only, and the exact polynomial through all but the
-last node, which checks it, is evaluated at N.  A dense tensor-product
-oracle over the 2^N space checks small N.
+degree <= L/2 for all n >= 1; a^k u^(2i) = (4 S^2)^k (2 Sz)^(2i) gives one of
+degree i + k.  Above ``CROSSOVER_N`` sites the sums are taken at n = 1 ...
+i + k + 2 only, and the exact polynomial through all but the last node, which
+checks it, is evaluated at N.  A dense tensor-product oracle over the 2^N
+space checks small N.
 """
 
 from __future__ import annotations
@@ -450,27 +451,31 @@ def _node_values(n: int, keys, rows) -> list:
     return [Fraction(sum(c * s for c, s in zip(row, sums)), sums[0]) for row in rows]
 
 
-def _lagrange(values: Sequence[Fraction], x: int) -> Fraction:
-    """The polynomial through (1, values[0]), (2, values[1]), ... at x."""
-    nodes = range(1, len(values) + 1)
-    return sum(v * Fraction(math.prod(x - j for j in nodes if j != i),
-                            math.prod(i - j for j in nodes if j != i))
-               for i, v in zip(nodes, values))
+def _lagrange(count: int, x: int) -> list:
+    """Weights w with sum_i w_i p(i) = p(x), i = 1 ... count, for every
+    polynomial p of degree < count."""
+    nodes = range(1, count + 1)
+    return [Fraction(math.prod(x - j for j in nodes if j != i),
+                     math.prod(i - j for j in nodes if j != i)) for i in nodes]
 
 
-def _interpolated_values(N: int, keys, rows, degree: int) -> list:
-    """``_node_values(N, keys, rows)`` from the nodes n = 1 ... degree // 2 + 2.
-
-    Each value is a polynomial in n of degree <= degree // 2, fixed by all but
-    the last node; a mismatch at the last one raises ArithmeticError.
-    """
-    out = []
-    for *fit, check in zip(*(_node_values(n, keys, rows)
-                             for n in range(1, degree // 2 + 3))):
-        if _lagrange(fit, len(fit) + 1) != check:
+def _diagonal_values(N: int, diagonals: Sequence[_Poly2]) -> list:
+    """Each diagonal's sum over the cells of N sites, over 2^N, from one
+    ``monomial_rows`` call: every sector is summed up to ``CROSSOVER_N``
+    sites.  Above it, 2^{-n} tr a^k u^(2i) is a polynomial in n of degree
+    i + k, so each value is fixed by the nodes n = 1 ... d + 1, d the largest
+    i + k, and evaluated at N; a mismatch at the check node n = d + 2 raises
+    ArithmeticError."""
+    keys, rows = monomial_rows(diagonals)
+    if N <= CROSSOVER_N:
+        return _node_values(N, keys, rows)
+    degree, out = max(i + k for i, k in keys), []
+    at_check, at_n = _lagrange(degree + 1, degree + 2), _lagrange(degree + 1, N)
+    for *fit, check in zip(*(_node_values(n, keys, rows) for n in range(1, degree + 3))):
+        if sum(w * v for w, v in zip(at_check, fit)) != check:
             raise ArithmeticError(
-                f"trace polynomial of degree {degree // 2} misses its check node")
-        out.append(_lagrange(fit, N))
+                f"trace polynomial of degree {degree} misses its check node")
+        out.append(sum(w * v for w, v in zip(at_n, fit)))
     return out
 
 
@@ -486,10 +491,7 @@ def normalized_trace(N: int, poly: SpinPolynomial, digits: int = 12,
     """
     check_trace_budget(N, poly)
     diagonal = _sector_trace_poly(poly)
-    keys, rows = monomial_rows(list(diagonal.values()))
-    degree = max((L for L, _ in diagonal), default=0)
-    values = (_node_values(N, keys, rows) if N <= CROSSOVER_N
-              else _interpolated_values(N, keys, rows, degree))
+    values = _diagonal_values(N, list(diagonal.values()))
     parts = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
     for (L, imaginary), v in zip(diagonal, values):
         divisor, radical = letter_scale(N, L)

@@ -61,10 +61,7 @@ def polylog_negative(k: int, x: Fraction) -> Fraction:
     if not 0 < x < 1:
         raise ValueError(f"x={x} must lie in (0, 1)")
     num, power = _polylog_rational(k)
-    value = Fraction(0)
-    for p, c in enumerate(num):
-        value += c * x**p
-    return value / (1 - x) ** power
+    return sum(c * x**p for p, c in enumerate(num)) / (1 - x) ** power
 
 
 def _polylog_rational(k: int) -> Tuple[Tuple[int, ...], int]:

@@ -183,7 +183,6 @@ def spin_thermal_expectation(params: XYParams, N: int, poly: SpinPolynomial) -> 
                                   Emin=decimal.MIN_EMIN)
         with decimal.localcontext(context):
             sums = spin_core.sector_moments(N, keys, *_boltzmann_factors(params.g, N))
-            # the sums are positive, so |c| . sums bounds the sum of |terms|
             num = bound = decimal.Decimal(0)
             for (L, _), row in zip(diagonal, rows):
                 divisor, radical = spin_core.letter_scale(N, L)

@@ -1,8 +1,11 @@
+import decimal
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from spinboson import bridge, spin_core
 from spinboson.bridge import (
     boson_image,
     fit_decay_rate,
@@ -90,6 +93,9 @@ def test_fit_decay_rate():
     errs = [3.0 / n for n in ns]
     assert fit_decay_rate(ns, errs) == pytest.approx(1.0)
     assert fit_decay_rate(ns, [0.0, 0.0, 0.0, 1e-3]) is None
+    # two errors at one N fix no slope
+    assert fit_decay_rate([100, 100], [5e-3, 5e-3]) is None
+    assert fit_decay_rate([100, 100, 0], [5e-3, 5e-3, 0.0]) is None
 
 
 def test_ordering_sensitivity_examples():
@@ -132,6 +138,57 @@ def test_ordering_sensitivity_is_the_pairwise_spread():
         want = max(_spread(c, first, N), _spread(Fraction(1, 3), second, N))
         assert want > 0
         assert ordering_sensitivity(poly, N) == pytest.approx(want, rel=1e-12)
+
+
+def test_ordering_sensitivity_is_one_sector_pass_per_word(monkeypatch):
+    rows_calls = []
+    monomial_rows = spin_core.monomial_rows
+
+    def counted(diagonals):
+        rows_calls.append(len(diagonals))
+        return monomial_rows(diagonals)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an ordering was traced on its own")
+
+    monkeypatch.setattr(spin_core, "monomial_rows", counted)
+    monkeypatch.setattr(spin_core, "normalized_trace", refused)
+    # two distinct words with the same letters, and one with 6 orderings
+    poly = parse_polynomial("S+*S-*Sz*Sz + 3*Sz*S+*Sz*S- + S+*S+*S-*S-")
+    for N in (40, 2000):
+        rows_calls.clear()
+        assert ordering_sensitivity(poly, N) > 0
+        assert sorted(rows_calls) == [6, 12, 12]
+
+
+def test_ordering_sensitivity_rounds_the_exact_spread_once():
+    assert ordering_sensitivity(parse_polynomial("S+*S-*Sz*S+*S-*Sz*S+*S-"),
+                                2000) == 0.00168496959375
+    word = ["S+", "Sz", "S-", "Sz", "S+", "S-"]
+    poly = parse_polynomial("-(2/3)*" + "*".join(word))
+    for N in (64, 200):
+        traces = [normalized_trace(N, parse_polynomial("*".join(v))).exact.re
+                  for v in set(itertools.permutations(word))]
+        assert ordering_sensitivity(poly, N) == float(
+            Fraction(2, 3) * (max(traces) - min(traces)))
+
+
+def test_rounded_root_is_correctly_rounded():
+    rng = random.Random(11)
+    squares = [Fraction(0), Fraction(2), Fraction(1, 9), Fraction(10**40 + 1, 3),
+               Fraction(1, 7 * 10**30), Fraction(0.1) ** 2, Fraction(2.0**-600)]
+    squares += [Fraction(rng.randint(1, 10**rng.randint(1, 40)),
+                         rng.randint(1, 10**rng.randint(1, 40))) for _ in range(300)]
+    with decimal.localcontext(decimal.Context(prec=80)):
+        for q in squares:
+            want = float((decimal.Decimal(q.numerator) / q.denominator).sqrt())
+            assert bridge._rounded_root(q) == want, q
+
+
+@pytest.mark.parametrize("text", ["1", "S+*S-"])
+def test_ordering_sensitivity_refuses_n_below_1(text):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        ordering_sensitivity(parse_polynomial(text), 0)
 
 
 def test_position_sector_exact_square():

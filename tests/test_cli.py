@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -318,6 +319,7 @@ def test_digits_refused_where_output_ignores_it(tmp_path, capsys, command):
 
 def test_usage_errors_exit_1_with_one_error_line(capsys):
     for argv in (("trace", "--expr", "Sz", "--n", "4", "--bogus"),
+                 ("trace", "-x", "--expr", "Sz", "--n", "4"),
                  ("trace", "--expr", "Sz", "--n", "4", "--digits", "x"),
                  ("oracle", "--expr", "Sz", "--n", "4", "--oracle-cap", "x"),
                  ("trace", "--expr", "Sz", "--n", "4", "--format", "xml"),
@@ -518,6 +520,31 @@ def test_xy_takes_one_n(capsys):
     payload = json.loads(out)
     assert payload["inputs"]["n"] == 16
     assert payload["results"][0]["expectation_spin"] is not None
+
+
+def test_negative_values_follow_their_flag(capsys):
+    xy_argv = ("xy", "--kt", "3", "--expr", "S+*S- + S-*S+", "--n", "64")
+    code, joined, _ = run(capsys, *xy_argv, "--gamma=-1/2")
+    assert code == 0 and "ferromagnetic bound" in joined
+    assert run(capsys, *xy_argv, "--gamma", "-1/2") == (0, joined, "")
+    assert run(capsys, "trace", "--expr", "-Sz^2", "--n", "4") == (0, "N=4: -0.25\n", "")
+    assert run(capsys, "xy", "--gamma", "1", "--kt", "-3") == (1, "", "error: kT must be positive\n")
+
+
+def test_xy_expectation_needs_both_expr_and_n(capsys):
+    xy_argv = ("xy", "--gamma", "1", "--kt", "4")
+    assert run(capsys, *xy_argv, "--expr", "S+*S-") == (1, "", "error: --n is required\n")
+    assert run(capsys, *xy_argv, "--n", "64") == (1, "", "error: --expr is required\n")
+    code, out, _ = run(capsys, *xy_argv)
+    assert code == 0 and "Z = " in out and "<f>" not in out
+
+
+def test_verify_at_one_n_fits_no_rate(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--expr", "S+*S+*S-*S-", "--n-list", "100,100")
+    assert code == 0 and err == ""
+    assert out.count("N=100: spin 0.495") == 2 and "fitted decay rate" not in out
 
 
 def test_command_line_n_wins_over_the_config_n_list(tmp_path, capsys):

@@ -40,6 +40,10 @@ def test_unary_minus_and_subtraction():
         (MINUS, PLUS): ComplexRational(-1),
     }
     assert _words("--Sz") == {(Z,): ComplexRational(1)}
+    # a leading minus binds looser than ^, as in -x^2 = -(x^2)
+    assert _words("-Sz^2") == {(Z, Z): ComplexRational(-1)}
+    assert _words("(-Sz)^2") == _words("Sz^2") == {(Z, Z): ComplexRational(1)}
+    assert _words("-2^2*S+*-S-^2") == {(PLUS, MINUS, MINUS): ComplexRational(4)}
 
 
 def test_powers_and_cancellation():
