@@ -5,7 +5,6 @@ from .boson import (
     NormalForm,
     normal_order_symbol,
     number_polynomial,
-    stirling_first_signed,
     wick_reorder,
 )
 from .bridge import (

@@ -76,10 +76,6 @@ class BosonSymbol(_TermPolynomial):
 class NormalForm(_TermPolynomial):
     """Normally ordered operator: key (m, n) denotes a+^m a^n."""
 
-    @classmethod
-    def identity(cls):
-        return cls({(0, 0): 1})
-
     def diagonal_element(self, level: int) -> ComplexRational:
         """Exact <level| form |level>; only m = n terms contribute."""
         return sum((c * Fraction(math.factorial(level), math.factorial(level - m))
@@ -143,19 +139,8 @@ def wick_reorder(word: Sequence[str]) -> NormalForm:
     return NormalForm(state)
 
 
-def stirling_first_signed(n: int, ell: int) -> int:
-    """Signed Stirling number of the first kind B^n_ell.
-
-    Row n collects the coefficients of the falling factorial
-    u (u-1) ... (u-n+1); they also expand a+^n a^n in powers of a+ a.
-    """
-    if not 0 <= ell <= n:
-        raise ValueError(f"ell={ell} outside [0, {n}]")
-    return stirling_row(n)[ell]
-
-
 def stirling_row(n: int) -> Tuple[int, ...]:
-    """Coefficients (by power of u) of u (u-1) ... (u-n+1)."""
+    """Signed Stirling numbers B^n_l: u (u-1) ... (u-n+1) by power l of u."""
     if n < 1:
         raise ValueError("n must be >= 1")
     coeffs = [0, 1]  # u

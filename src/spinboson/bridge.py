@@ -12,10 +12,7 @@ orderings.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -110,32 +107,37 @@ def ordering_sensitivity(poly: SpinPolynomial, N: int) -> float:
     Measures the part of the spin polynomial that the commuting symbol map
     cannot see; the theorem guarantees it vanishes as N grows.  Every word
     has a real trace, so the spread of a term c w is |c| (max - min) over the
-    orderings of w, each one diagonal of one sector pass, rounded once.
+    orderings of w, one sector pass per letter multiset, rounded once.
     """
     spin_core.check_trace_budget(N, poly)
-    worst = 0.0
+    weights = {}  # sorted letters: the largest |c|^2 of a word made of them
     for word, coeff in spin_core.words(poly).items():
         if len(word) > MAX_ORDERING_LETTERS:
             raise spin_core.ResourceLimitError(
                 f"word of length {len(word)} exceeds the ordering cap "
                 f"{MAX_ORDERING_LETTERS}"
             )
+        letters = tuple(sorted(word))
+        weights[letters] = max(weights.get(letters, 0), coeff.re**2 + coeff.im**2)
+    worst = 0.0
+    for letters, weight in weights.items():
         diagonals = [spin_core._word_diag_poly(variant) or {}
-                     for variant in set(itertools.permutations(word))]
+                     for variant in _orderings(letters)]
         values = spin_core._diagonal_values(N, diagonals)
-        divisor, radical = spin_core.letter_scale(N, len(word))
-        spread = (max(values) - min(values)) / (divisor * 2 ** len(word))
-        worst = max(worst, _rounded_root(
-            spread**2 * (coeff.re**2 + coeff.im**2) * N**radical))
+        divisor, radical = spin_core.letter_scale(N, len(letters))
+        spread = (max(values) - min(values)) / (divisor * 2 ** len(letters))
+        worst = max(worst, float(spin_core.rounded_radical(
+            0, 1, spread**2 * weight * N**radical, 53, 2)))
     return worst
 
 
-def _rounded_root(square: Fraction) -> float:
-    """The binary64 rounding of sqrt(square >= 0): the integer root of square 4^s,
-    of at least 62 bits, plus half a unit if inexact, rounds as the exact root."""
-    s = max(0, 64 - (square.numerator.bit_length() - square.denominator.bit_length()) // 2)
-    root = math.isqrt(math.floor(scaled := square * 4**s))
-    return float(Fraction(2 * root + (root * root != scaled), 2 ** (s + 1)))
+def _orderings(letters: tuple):
+    """Every distinct ordering of the multiset ``letters``, once each."""
+    if not letters:
+        yield ()
+    for first in dict.fromkeys(letters):
+        i = letters.index(first)
+        yield from ((first, *rest) for rest in _orderings(letters[:i] + letters[i + 1:]))
 
 
 def position_sector(

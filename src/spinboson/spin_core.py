@@ -397,14 +397,36 @@ def sector_moments(N: int, keys, weights, rhos) -> list:
 # ---------------------------------------------------------------------------
 
 
+def rounded_radical(a: Fraction, b: Fraction, q: Fraction, digits: int,
+                    base: int = 10) -> Fraction:
+    """a + b sqrt(q), q >= 0, where it is rational; otherwise the midpoint of
+    the cell of the grid base^-s that holds it, all of whose points have more
+    than ``digits`` digits.  In base 2 or 10 that grid holds every rounding
+    boundary at ``digits`` digits, so the midpoint rounds as the value does."""
+    if not b:
+        return a
+    root = math.isqrt(m := q.numerator * q.denominator)  # sqrt(q) = sqrt(m) / q.den
+    if root * root == m:
+        return a + b * Fraction(root, q.denominator)
+    b = Fraction(b, q.denominator)
+    d = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    sq = B * B * m  # the value is (A + B sqrt(m)) / d
+    # 2^lead > max(|A|, |B| sqrt(m)) >= 2^(lead - 1), and where the terms cancel
+    # A + B sqrt(m) = (A^2 - sq) / (A - B sqrt(m)): so |value| > 2^(bits - 2) / d
+    lead = max(A.bit_length(), (sq.bit_length() + 1) // 2)
+    bits = (A * A - sq).bit_length() - lead if A * B < 0 else lead
+    s = max(0, digits + 2 - math.floor((bits - 2 - d.bit_length()) / math.log2(base)))
+    r = math.isqrt(sq * base ** (2 * s))  # B base^s sqrt(m) is irrational
+    floor = (A * base**s + (r if B > 0 else -r - 1)) // d  # |floor| > base^digits
+    return Fraction(2 * floor + 1, 2 * base**s)
+
+
 @dataclass
 class TraceResult:
-    """Exact value of a normalized trace, rendered to a decimal string.
-
-    The exact value is ``exact + sqrt_n * sqrt(N)``; the radical part is only
-    nonzero for polynomials containing odd-length words with nonvanishing
-    trace, where the per-letter 1/sqrt(N) scaling leaves a stray sqrt(N).
-    """
+    """Exact value ``exact + sqrt_n * sqrt(N)`` of a normalized trace, and its
+    decimal string.  The radical part is only nonzero for odd-length words with
+    nonvanishing trace, where the 1/sqrt(N) per letter leaves a stray sqrt(N)."""
 
     n: int
     exact: ComplexRational
@@ -413,35 +435,26 @@ class TraceResult:
     float_path: bool = False
 
     def approx(self) -> complex:
-        return complex(self.exact) + complex(self.sqrt_n) * math.sqrt(self.n)
+        """The binary64 rounding of each part of the exact value."""
+        return complex(*(float(rounded_radical(a, b, self.n, 53, 2)) for a, b in (
+            (self.exact.re, self.sqrt_n.re), (self.exact.im, self.sqrt_n.im))))
 
     def real(self) -> float:
-        v = self.approx()
-        if abs(v.imag) > 1e-12 * max(1.0, abs(v.real)):
-            raise ValueError(f"trace value {v} is not real")
-        return v.real
+        if rounded_radical(self.exact.im, self.sqrt_n.im, self.n, 53, 2):
+            raise ValueError(f"trace value {self.approx()} is not real")
+        return self.approx().real
 
 
 def _render_decimal(result_n: int, exact: ComplexRational,
                     sqrt_n: ComplexRational, digits: int) -> str:
-    out_ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
-
-    def frac(f: Fraction):
-        return decimal.Decimal(f.numerator) / f.denominator
-
-    whole = math.isqrt(result_n)
-    if whole * whole == result_n:  # an exact root leaves no trailing zeros
-        exact, sqrt_n = exact + sqrt_n * whole, ComplexRational(0)
-    # every operation below rounds in this context, not the caller's
-    with decimal.localcontext(decimal.Context(prec=digits + 10,
-                                              rounding=decimal.ROUND_HALF_EVEN)):
-        root = decimal.Decimal(result_n).sqrt() if sqrt_n else decimal.Decimal(0)
-        re = out_ctx.plus(frac(exact.re) + frac(sqrt_n.re) * root)
-        im = out_ctx.plus(frac(exact.im) + frac(sqrt_n.im) * root)
-        if im == 0:
-            return str(re)
-        sign = "+" if im >= 0 else "-"
-        return f"{re}{sign}{abs(im)}i"
+    # one correctly rounded division per part, in this context, not the caller's
+    ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
+    re, im = (ctx.divide(v.numerator, v.denominator) for v in (
+        rounded_radical(a, b, result_n, digits) for a, b in
+        ((exact.re, sqrt_n.re), (exact.im, sqrt_n.im))))
+    if not im:
+        return str(re)
+    return f"{re}{'-' if im.is_signed() else '+'}{im.copy_abs()}i"
 
 
 def _node_values(n: int, keys, rows) -> list:
@@ -504,7 +517,7 @@ def normalized_trace(N: int, poly: SpinPolynomial, digits: int = 12,
 
 def _normalized_trace_float(N: int, exact, sqrt_n, digits: int) -> TraceResult:
     """The binary64 rounding of an exact trace ``exact + sqrt_n sqrt(N)``."""
-    value = complex(exact) + complex(sqrt_n) * math.sqrt(N)
+    value = TraceResult(N, exact, sqrt_n).approx()
     exact = ComplexRational(Fraction(value.real), Fraction(value.imag))
     decimal = _render_decimal(N, exact, ComplexRational(0), digits) + " (float)"
     return TraceResult(N, exact, decimal=decimal, float_path=True)

@@ -11,7 +11,6 @@ from spinboson.boson import (
     NormalForm,
     normal_order_symbol,
     number_polynomial,
-    stirling_first_signed,
     stirling_row,
     wick_reorder,
 )
@@ -19,7 +18,7 @@ from spinboson.rationals import ComplexRational
 
 
 def test_normal_order_symbol_examples():
-    assert normal_order_symbol(BosonSymbol({(0, 0): 1})) == NormalForm.identity()
+    assert normal_order_symbol(BosonSymbol({(0, 0): 1})) == NormalForm({(0, 0): 1})
     # (2 z* z)^5 = 32 z*^5 z^5 keeps its coefficient as 32 ad^5 a^5
     sym = BosonSymbol({(5, 5): 32})
     assert normal_order_symbol(sym).terms == {(5, 5): ComplexRational(32)}
@@ -61,16 +60,14 @@ def test_wick_adjoint_symmetry():
 
 
 def test_stirling_examples():
-    assert stirling_first_signed(1, 1) == 1
-    assert stirling_first_signed(2, 2) == 1
-    assert stirling_first_signed(2, 1) == -1
-    assert stirling_first_signed(3, 3) == 1
-    assert stirling_first_signed(3, 2) == -3
-    assert stirling_first_signed(3, 1) == 2
+    assert stirling_row(1)[1] == 1
+    assert stirling_row(2)[2] == 1
+    assert stirling_row(2)[1] == -1
+    assert stirling_row(3)[3] == 1
+    assert stirling_row(3)[2] == -3
+    assert stirling_row(3)[1] == 2
     with pytest.raises(ValueError):
-        stirling_first_signed(3, 4)
-    with pytest.raises(ValueError):
-        stirling_first_signed(0, 0)
+        stirling_row(0)
 
 
 def _number_power_normal_form(ell):

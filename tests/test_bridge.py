@@ -1,11 +1,9 @@
-import decimal
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
-from spinboson import bridge, spin_core
+from spinboson import spin_core
 from spinboson.bridge import (
     boson_image,
     fit_decay_rate,
@@ -140,7 +138,7 @@ def test_ordering_sensitivity_is_the_pairwise_spread():
         assert ordering_sensitivity(poly, N) == pytest.approx(want, rel=1e-12)
 
 
-def test_ordering_sensitivity_is_one_sector_pass_per_word(monkeypatch):
+def test_ordering_sensitivity_is_one_sector_pass_per_letter_multiset(monkeypatch):
     rows_calls = []
     monomial_rows = spin_core.monomial_rows
 
@@ -153,12 +151,28 @@ def test_ordering_sensitivity_is_one_sector_pass_per_word(monkeypatch):
 
     monkeypatch.setattr(spin_core, "monomial_rows", counted)
     monkeypatch.setattr(spin_core, "normalized_trace", refused)
-    # two distinct words with the same letters, and one with 6 orderings
+    # two distinct words with the same letters share one pass of their 12
+    # orderings, and one word has 6 orderings
     poly = parse_polynomial("S+*S-*Sz*Sz + 3*Sz*S+*Sz*S- + S+*S+*S-*S-")
     for N in (40, 2000):
         rows_calls.clear()
         assert ordering_sensitivity(poly, N) > 0
-        assert sorted(rows_calls) == [6, 12, 12]
+        assert sorted(rows_calls) == [6, 12]
+
+
+def test_ordering_sensitivity_lists_each_multiset_ordering_once(monkeypatch):
+    calls = []
+    word_diag_poly = spin_core._word_diag_poly
+
+    def counted(word):
+        calls.append(word)
+        return word_diag_poly(word)
+
+    monkeypatch.setattr(spin_core, "_word_diag_poly", counted)
+    # 32 words of the letters S+^5 S-^5, which have 10!/(5! 5!) orderings
+    h5 = parse_polynomial("(S+*S- + S-*S+)^5")
+    assert ordering_sensitivity(h5, 64) == 0.27184057235717773
+    assert len(calls) == len(set(calls)) == 252
 
 
 def test_ordering_sensitivity_rounds_the_exact_spread_once():
@@ -171,18 +185,6 @@ def test_ordering_sensitivity_rounds_the_exact_spread_once():
                   for v in set(itertools.permutations(word))]
         assert ordering_sensitivity(poly, N) == float(
             Fraction(2, 3) * (max(traces) - min(traces)))
-
-
-def test_rounded_root_is_correctly_rounded():
-    rng = random.Random(11)
-    squares = [Fraction(0), Fraction(2), Fraction(1, 9), Fraction(10**40 + 1, 3),
-               Fraction(1, 7 * 10**30), Fraction(0.1) ** 2, Fraction(2.0**-600)]
-    squares += [Fraction(rng.randint(1, 10**rng.randint(1, 40)),
-                         rng.randint(1, 10**rng.randint(1, 40))) for _ in range(300)]
-    with decimal.localcontext(decimal.Context(prec=80)):
-        for q in squares:
-            want = float((decimal.Decimal(q.numerator) / q.denominator).sqrt())
-            assert bridge._rounded_root(q) == want, q
 
 
 @pytest.mark.parametrize("text", ["1", "S+*S-"])

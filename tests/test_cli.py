@@ -64,6 +64,16 @@ def test_trace_csv_and_out_file(tmp_path, capsys):
     assert lines[1].startswith("4,0.25")
 
 
+def test_trace_rounds_a_cancelling_radical_exactly(capsys):
+    # the rational part 1/4 and the sqrt(5) part cancel to 3.1e-32
+    root5 = "2236067977499789696409173668731/1000000000000000000000000000000"
+    expr = f"Sz^2 + {root5}*S+*Sz*S-"
+    code, out, _ = run(capsys, "trace", "--expr", expr, "--n", "5")
+    assert code == 0 and out == "N=5: 3.08840611509E-32\n"
+    code, out, _ = run(capsys, "trace", "--expr", expr, "--n", "5", "--float")
+    assert code == 0 and out == "N=5: 3.08840611509E-32 (float) [float path]\n"
+
+
 def test_trace_float_path_labeled(capsys):
     code, out, _ = run(
         capsys, "trace", "--expr", "Sz^2", "--n", "64", "--float"

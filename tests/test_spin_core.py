@@ -26,6 +26,7 @@ from spinboson.spin_core import (
     irrep_multiplicity,
     irrep_sectors,
     normalized_trace,
+    rounded_radical,
     sector_moments,
     words,
 )
@@ -390,6 +391,58 @@ def test_decimal_rendering_ignores_the_callers_context():
     with decimal.localcontext() as ctx:
         ctx.prec = 6
         assert normalized_trace(2000, h5, digits=12).decimal == "119.670383544"
+
+
+def test_rounded_radical_is_correctly_rounded():
+    rng = random.Random(11)
+    squares = [Fraction(0), Fraction(2), Fraction(1, 9), Fraction(10**40 + 1, 3),
+               Fraction(1, 7 * 10**30), Fraction(0.1) ** 2, Fraction(2.0**-600)]
+    squares += [Fraction(rng.randint(1, 10**rng.randint(1, 40)),
+                         rng.randint(1, 10**rng.randint(1, 40))) for _ in range(300)]
+    with decimal.localcontext(decimal.Context(prec=80)):
+        for q in squares:
+            want = (decimal.Decimal(q.numerator) / q.denominator).sqrt()
+            assert float(rounded_radical(Fraction(0), Fraction(1), q, 53, 2)) == float(want), q
+            for digits in (17, 30):
+                ctx = decimal.Context(prec=digits)
+                got = rounded_radical(Fraction(0), Fraction(1), q, digits, 10)
+                assert ctx.divide(got.numerator, got.denominator) == ctx.plus(want), q
+
+
+@pytest.mark.parametrize("expr", ["Sz^2 + S+*Sz*S-", "S+*Sz*S- + 1/3",
+                                  "Sz^3*S+*S- + Sz^2", "S+*Sz*S-"])
+def test_radical_traces_round_the_exact_value(expr):
+    # a + b sqrt(N) at non-square and square N, against an 80-digit reference
+    poly = parse_polynomial(expr)
+    for N in range(2, 395, 7):
+        res = normalized_trace(N, poly, digits=30)
+        with decimal.localcontext(decimal.Context(prec=80)):
+            a, b = res.exact.re, res.sqrt_n.re
+            want = (decimal.Decimal(a.numerator) / a.denominator
+                    + decimal.Decimal(b.numerator) / b.denominator
+                    * decimal.Decimal(N).sqrt())
+        floats = normalized_trace(N, poly, use_float=True)
+        assert float(floats.exact.re) == float(want) == res.approx().real, (N, expr)
+        for digits in (6, 12, 30):
+            got = normalized_trace(N, poly, digits=digits).decimal
+            assert decimal.Decimal(got) == decimal.Context(prec=digits).plus(want)
+
+
+def test_real_refuses_an_exact_imaginary_part():
+    sz2 = parse_polynomial("Sz^2")
+    tiny = node("product", node("constant", ComplexRational(0, Fraction(1, 10**20))), sz2)
+    res = normalized_trace(8, node("sum", sz2, tiny))
+    assert res.approx() == complex(0.25, 2.5e-21)
+    with pytest.raises(ValueError, match="not real"):
+        res.real()
+
+
+def test_imaginary_radical_renders_in_its_own_context():
+    i_odd = node("product", node("constant", ComplexRational(0, -1)),
+                 parse_polynomial("S+*Sz*S-"))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        assert normalized_trace(2, i_odd, digits=12).decimal == "0+0.176776695297i"
 
 
 def test_odd_word_sqrt_part_against_oracle():

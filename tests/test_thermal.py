@@ -95,9 +95,9 @@ def test_weighted_expectation_matches_direct_sum(base):
 
 def test_weighted_expectation_divergence():
     with pytest.raises(ValueError):
-        thermal_expect_weighted(THEOREM_STATE, Fraction(3), NormalForm.identity())
+        thermal_expect_weighted(THEOREM_STATE, Fraction(3), NormalForm({(0, 0): 1}))
     with pytest.raises(ValueError):
-        thermal_expect_weighted(THEOREM_STATE, Fraction(-1), NormalForm.identity())
+        thermal_expect_weighted(THEOREM_STATE, Fraction(-1), NormalForm({(0, 0): 1}))
 
 
 def test_thermal_matches_complex_gaussian():
