@@ -12,10 +12,10 @@ orderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import statistics
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from . import moments, spin_core, thermal
 from .boson import BosonSymbol, NormalForm, normal_order_symbol
@@ -32,15 +32,9 @@ class ConvergenceReport:
     n_values: List[int]
     spin_values: List[float]
     boson_value: float
-    abs_errors: List[float] = field(default_factory=list)
-    fitted_rate: Optional[float] = None
-    spin_decimals: List[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.abs_errors:
-            self.abs_errors = [abs(v - self.boson_value) for v in self.spin_values]
-        if self.fitted_rate is None:
-            self.fitted_rate = fit_decay_rate(self.n_values, self.abs_errors)
+    abs_errors: List[float]
+    fitted_rate: Optional[float]
+    spin_decimals: List[str]
 
 
 def fit_decay_rate(n_values: Sequence[int], errors: Sequence[float]):
@@ -49,10 +43,10 @@ def fit_decay_rate(n_values: Sequence[int], errors: Sequence[float]):
     Returns None unless at least two distinct N have a nonzero error; a
     vanishing error means the finite-N value is already exact.
     """
-    pts = [(n, e) for n, e in zip(n_values, errors) if e > 0]
-    if len({n for n, _ in pts}) < 2:
+    pts = [(math.log(n), math.log(e)) for n, e in zip(n_values, errors) if e > 0]
+    if len({x for x, _ in pts}) < 2:
         return None
-    return float(-np.polyfit(*np.log(pts).T, 1)[0])
+    return -statistics.linear_regression(*zip(*pts)).slope
 
 
 def boson_image(poly: SpinPolynomial) -> NormalForm:
@@ -81,7 +75,8 @@ def verify_theorem(
     """Spin traces at ascending N against the limit of the boson image.
 
     The limit is the x = 1/3 thermal expectation of ``boson_image(poly)``;
-    any spin polynomial with a real limit is accepted.
+    any spin polynomial with a real limit is accepted.  Each error is the
+    exact gap, rounded once to binary64.
     """
     n_values = list(n_values)
     if n_values != sorted(n_values):
@@ -93,10 +88,14 @@ def verify_theorem(
         raise ValueError(f"boson-side value {boson} is not real")
     results = [spin_core.normalized_trace(n, poly, digits=digits)
                for n in n_values]
+    errors = [abs(float(spin_core.rounded_radical(
+        res.exact.re - boson.re, res.sqrt_n.re, res.n, 53, 2))) for res in results]
     return ConvergenceReport(
         n_values=n_values,
         spin_values=[res.real() for res in results],
         boson_value=float(boson.re),
+        abs_errors=errors,
+        fitted_rate=fit_decay_rate(n_values, errors),
         spin_decimals=[res.decimal for res in results],
     )
 

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from .rationals import ComplexRational
 
 PLUS = "+"
@@ -536,6 +534,7 @@ def _collective_ops(N: int):
     so it has a 1 at (i - 2^b, i) for each set bit b of i; S- is its
     transpose, and 2 Sz is diagonal with N - 2 popcount(i).
     """
+    import numpy as np
     import scipy.sparse as sp
 
     index = np.arange(2**N, dtype=np.int64)
@@ -568,7 +567,7 @@ def _chain(ops, letters: Sequence[str]):
     import scipy.sparse as sp
 
     if not letters:
-        return sp.identity(ops[PLUS].shape[0], dtype=np.int64, format="csr")
+        return sp.identity(ops[PLUS].shape[0], dtype=ops[PLUS].dtype, format="csr")
     prod = ops[letters[0]]
     for ch in letters[1:]:
         prod = prod @ ops[ch]

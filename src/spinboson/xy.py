@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-import numpy as np
-
 from . import spin_core
 from .boson import NormalForm
 from .rationals import ComplexRational
@@ -217,6 +215,7 @@ def spin_thermal_dense_oracle(
         raise spin_core.ResourceLimitError(
             f"dense XY oracle capped at N={DENSE_ORACLE_CAP}"
         )
+    import numpy as np
     import scipy.linalg
     import scipy.sparse
 
@@ -257,22 +256,24 @@ def boson_thermal_expectation(params: XYParams, form: NormalForm) -> Fraction:
 
 
 def partition_function(params: XYParams) -> float:
-    """Closed-form Z = r^{-1/2} / (1 - 1/r) with r = 3 / (1 - 2 gamma/kT)."""
+    """Closed-form Z = r^{-1/2} / (1 - 1/r) with r = 3 / (1 - 2 gamma/kT),
+    the binary64 rounding of its exact value r/(r - 1) sqrt(1/r)."""
     _require_valid(params)
     # the bounds give 0 < 1 - 2 gamma/kT < 3, so r > 1 and the series converges
-    r = float(3 / (1 - 2 * params.g))
-    return r**-0.5 / (1 - 1 / r)
+    r = 3 / (1 - 2 * params.g)
+    return float(spin_core.rounded_radical(0, r / (r - 1), 1 / r, 53, 2))
 
 
 def effective_temperature(params: XYParams) -> float:
     """k_B T_eff = 2|gamma| / ln(3 / (1 - 2 gamma/kT)).
 
     The oscillator scale hbar*omega_0 = 2|gamma| comes from the low
-    excitation sector; T_eff stays finite as the physical T grows.
+    excitation sector; T_eff stays finite as the physical T grows.  ln r is
+    log1p of the exact r - 1 = (2 + 2g)/(1 - 2g), free of cancellation.
     """
     _require_valid(params)
     if params.gamma == 0:
         raise ValueError("effective temperature undefined at gamma = 0")
-    denom = math.log(3 / float(1 - 2 * params.g))
-    return 2 * abs(float(params.gamma)) / denom
+    g = params.g
+    return 2 * abs(float(params.gamma)) / math.log1p((2 + 2 * g) / (1 - 2 * g))
 

@@ -116,6 +116,22 @@ def test_verify_flagship(capsys):
     assert "fitted decay rate" in out
 
 
+def test_verify_rounds_each_exact_gap_once(capsys):
+    # binary64 spin values 120 - 6.6e-15 and 120 differ by 0 or by one ulp
+    code, out, _ = run(capsys, "verify", "--expr", "(S+*S- + S-*S+)^5",
+                       "--n-list", "1000000000000,100000000000000000")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "N=1000000000000: spin 119.999999999  |error| 6.6e-10",
+        "N=100000000000000000: spin 120.000000000  |error| 6.6e-15"]
+    assert "fitted decay rate: " in out
+    code, out, _ = run(capsys, "verify", "--expr", "(S+*S- + S-*S+)^5",
+                       "--n-list", "500,1000,2000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["abs_errors"] == [
+        1.313873189504, 0.658466649344, 0.329616456209]
+
+
 def test_xy_report(capsys):
     code, out, _ = run(
         capsys, "xy", "--gamma", "1", "--kt", "4",
@@ -432,6 +448,17 @@ def test_cli_commands_do_not_import_scipy():
              ["verify", "--expr", "S+*S-", "--n-list", "50,100"],
              ["xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-", "--n", "20"]]
     assert _modules_after(argvs, "scipy") == "[]"
+
+
+def test_exact_commands_do_not_import_numpy():
+    argvs = [["trace", "--expr", "(S+*S- + S-*S+)^2", "--n", "50"],
+             ["verify", "--expr", "S+*S-", "--n-list", "50,100"],
+             ["xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-", "--n", "20"],
+             ["normal-order", "--expr", "Sz*Sz*S+*S-"],
+             ["moments", "--max-l", "5"]]
+    assert _modules_after(argvs, "numpy") == "[]"
+    oracle = ["oracle", "--expr", "Sz^2", "--n", "4"]
+    assert "'numpy'" in _modules_after(argvs + [oracle], "numpy")
 
 
 def test_xy_does_not_import_mpmath():

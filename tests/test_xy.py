@@ -93,6 +93,22 @@ def test_effective_temperature_values():
         effective_temperature(XYParams(Fraction(0), Fraction(1)))
 
 
+def test_closed_forms_round_their_exact_values():
+    # every valid g = p/q, q = 50..100, against 80-digit references; at
+    # p = 1 - q, r - 1 = 2/(3q - 2), where binary64 forms of Z and ln r cancel
+    for q in range(50, 101):
+        for p in range(1 - q, (q + 1) // 2):
+            params = XYParams(Fraction(p), Fraction(q))
+            with decimal.localcontext(decimal.Context(prec=80)):
+                r = decimal.Decimal(3 * q) / (q - 2 * p)
+                z = (1 / r).sqrt() * r / (r - 1)
+                t_eff = 2 * abs(p) / r.ln()
+            assert partition_function(params) == float(z), (p, q)
+            if p:
+                t = effective_temperature(params)
+                assert abs(decimal.Decimal(t) - t_eff) <= 2 * math.ulp(t), (p, q)
+
+
 def test_boson_expectation_orderings():
     # g = 1/4, B = 1/2: the joint ordering gives x/(1-Bx) = 2/5
     params = XYParams(Fraction(1), Fraction(4))
