@@ -13,7 +13,6 @@ orderings.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -41,12 +40,19 @@ def fit_decay_rate(n_values: Sequence[int], errors: Sequence[float]):
     """Least-squares slope of log-error against log-N, sign flipped.
 
     Returns None unless at least two distinct N have a nonzero error; a
-    vanishing error means the finite-N value is already exact.
+    vanishing error means the finite-N value is already exact.  The slope of
+    the binary64 logs is exact, rounded once: the same on every Python.
     """
     pts = [(math.log(n), math.log(e)) for n, e in zip(n_values, errors) if e > 0]
     if len({x for x, _ in pts}) < 2:
         return None
-    return -statistics.linear_regression(*zip(*pts)).slope
+    # over the largest power-of-two denominator every log is an integer
+    scale = max(v.as_integer_ratio()[1] for pt in pts for v in pt)
+    xs, ys = ([p * (scale // q) for p, q in map(float.as_integer_ratio, col)]
+              for col in zip(*pts))
+    k, sx, sy = len(pts), sum(xs), sum(ys)
+    num = k * sum(x * y for x, y in zip(xs, ys)) - sx * sy
+    return -num / (k * sum(x * x for x in xs) - sx * sx)
 
 
 def boson_image(poly: SpinPolynomial) -> NormalForm:
@@ -139,11 +145,7 @@ def _orderings(letters: tuple):
         yield from ((first, *rest) for rest in _orderings(letters[:i] + letters[i + 1:]))
 
 
-def position_sector(
-    f_coeffs: Sequence,
-    n_values: Sequence[int],
-    digits: int = 12,
-) -> ConvergenceReport:
+def position_sector(f_coeffs: Sequence, n_values: Sequence[int]) -> ConvergenceReport:
     """Traces of f(Sz/sqrt(N)) against the ground-oscillator expectation.
 
     ``f_coeffs`` are polynomial coefficients, lowest power first; this is
@@ -153,4 +155,4 @@ def position_sector(
     poly = node("sum", node("constant", 0), *(
         node("product", node("constant", c), node("power", sz, k))
         for k, c in enumerate(f_coeffs)))
-    return verify_theorem(poly, n_values, digits)
+    return verify_theorem(poly, n_values)

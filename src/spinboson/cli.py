@@ -1,6 +1,6 @@
 """Command-line front end for batch computations.
 
-Exit codes: 0 success, 1 domain or usage error, 2 resource-budget error.
+Exit codes: 0 success, 1 domain, usage or missing-extra error, 2 resource error.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ def _build_parser():
     common(p, n=False, digits=False)
     p = sub.add_parser("oracle", help="irrep engine against the dense oracle")
     common(p)
-    p.add_argument("--oracle-cap", type=int, dest="oracle_cap",
-                   default=spin_core.DEFAULT_ORACLE_CAP,
-                   help="largest N the dense oracle builds (default %(default)s)")
     return parser, sub.choices
 
 
@@ -262,16 +259,14 @@ def _cmd_oracle(args):
 
     def step(n):
         engine = spin_core.normalized_trace(n, expr, digits=args.digits)
-        dense = spin_core.dense_oracle_trace(
-            n, expr, digits=args.digits, cap=args.oracle_cap
-        )
+        dense = spin_core.dense_oracle_trace(n, expr, digits=args.digits)
         if engine.exact != dense.exact or engine.sqrt_n != dense.sqrt_n:
             raise ValueError(f"oracle mismatch at N={n}")
         return (f"N={n}: engine {engine.decimal}  dense {dense.decimal}  MATCH",
                 {"N": n, "engine": engine.decimal, "dense": dense.decimal,
                  "match": True})
 
-    return _per_n(args, step, oracle_cap=args.oracle_cap)
+    return _per_n(args, step)
 
 
 def _require(args, name):
@@ -309,6 +304,12 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
+    except ImportError as exc:  # numpy or scipy: only the oracle extra has them
+        if exc.name not in ("numpy", "scipy"):
+            raise
+        print(f"error: {exc.name} is needed for {args.command}: "
+              "pip install 'spinboson[oracle]'", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

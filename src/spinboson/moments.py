@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Tuple, Union
 
-from .rationals import ComplexRational
+from .rationals import ComplexRational, _as_fraction
 
 #: default absolute tolerance for adaptive quadrature
 DEFAULT_QUAD_TOL = 1e-12
@@ -54,7 +54,7 @@ def _poly_moment(coeffs: Sequence) -> Fraction:
     """Exact expectation of a polynomial given by its coefficient sequence."""
     total = Fraction(0)
     for k, c in enumerate(coeffs):
-        c = Fraction(c)
+        c = _as_fraction(c)
         if c and k % 2 == 0:
             # <eta^{2m}> = (2m-1)!! / 4^m, the limit moment of order m
             total += c * limit_moment(k // 2)

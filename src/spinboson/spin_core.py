@@ -43,7 +43,8 @@ Z = "z"
 #: A word is a finite tuple of letters, applied right-to-left like a product.
 SpinWord = Tuple[str, ...]
 
-DEFAULT_ORACLE_CAP = 14
+#: largest N the dense trace oracle builds its 2^N x 2^N products for
+DENSE_ORACLE_CAP = 14
 #: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
 MAX_WORD_LETTERS = 64
 #: largest N whose trace sums every sector, at most 8256 cells; above it only
@@ -55,6 +56,8 @@ MAX_POWER_TERMS = 10**6
 #: budget on shifts x letter counts x (a, u) monomials of an expression, about
 #: 4 s of shift algebra at most (1-2 us per entry on a 2-vCPU VM, Python 3.11)
 MAX_ALGEBRA_CELLS = 2 * 10**6
+#: most digits a trace renders, about 1 s for an irrational value (68 s at 10**6)
+MAX_DIGITS = 10**5
 
 
 class ResourceLimitError(Exception):
@@ -148,10 +151,7 @@ def _terms_estimate(factors: list) -> int:
     clip = MAX_POWER_TERMS.bit_length()  # 2**clip > MAX_POWER_TERMS
     letters = len(set().union(*(word for terms in factors for word in terms)))
     length = sum(max(map(len, terms), default=0) for terms in factors)
-    if letters == 1:
-        count = length + 1
-    else:
-        count = sum(letters**L for L in range(min(length, clip) + 1))
+    count = sum(letters**L for L in range(min(length, clip) + 1))
     product = 1
     for terms in factors:
         product = min(product * len(terms), MAX_POWER_TERMS + 1)
@@ -500,6 +500,8 @@ def normalized_trace(N: int, poly: SpinPolynomial, digits: int = 12,
     binary64; the result is then labeled with ``float_path=True`` and
     ``exact`` holds the rounding.
     """
+    if digits > MAX_DIGITS:
+        raise ResourceLimitError(f"{digits} digits exceed the limit of {MAX_DIGITS}")
     check_trace_budget(N, poly)
     diagonal = _sector_trace_poly(poly)
     values = _diagonal_values(N, list(diagonal.values()))
@@ -574,12 +576,7 @@ def _chain(ops, letters: Sequence[str]):
     return prod
 
 
-def dense_oracle_trace(
-    N: int,
-    poly: SpinPolynomial,
-    digits: int = 12,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> TraceResult:
+def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceResult:
     """Independent trace via explicit tensor products of Pauli operators.
 
     Builds the collective operators on the full 2^N space with integer
@@ -587,15 +584,15 @@ def dense_oracle_trace(
     sum(P .* Q^T), where P and Q are the products of the first and second
     half of the word.  A trace is invariant under cyclic rotation, so it is
     computed once per rotation class, from the class's least rotation.
-    Refuses N above ``cap`` and words whose products could leave int64.
+    Refuses N > ``DENSE_ORACLE_CAP``, digits > ``MAX_DIGITS`` and int64 overflow.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > cap:
+    if N > DENSE_ORACLE_CAP:
         raise ResourceLimitError(
-            f"dense oracle supports N <= {cap}; got N={N}. Raise the cap "
-            f"explicitly if you can afford the 2^N x 2^N construction."
-        )
+            f"dense oracle supports N <= {DENSE_ORACLE_CAP}; got N={N}")
+    if digits > MAX_DIGITS:
+        raise ResourceLimitError(f"{digits} digits exceed the limit of {MAX_DIGITS}")
     terms = words(poly)
     _check_int64(N, terms)
     ops = _collective_ops(N)

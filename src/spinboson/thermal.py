@@ -11,13 +11,14 @@ independent oracles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from . import moments
 from .boson import NormalForm
-from .rationals import ComplexRational
+from .rationals import ComplexRational, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class ThermalState:
     x: Fraction
 
     def __post_init__(self):
-        x = Fraction(self.x)
+        x = _as_fraction(self.x)
         object.__setattr__(self, "x", x)
         if not 0 < x < 1:
             raise ValueError(f"Boltzmann ratio x={x} must lie in (0, 1)")
@@ -43,7 +44,7 @@ THEOREM_STATE = ThermalState(Fraction(1, 3))
 
 def density_diagonal(state: ThermalState, n: int) -> Fraction:
     """Occupation probability p_n = (1 - x) x^n."""
-    if n < 0:
+    if (n := operator.index(n)) < 0:
         raise ValueError("level index must be >= 0")
     return (1 - state.x) * state.x**n
 
@@ -57,7 +58,7 @@ def polylog_negative(k: int, x: Fraction) -> Fraction:
     """
     if k < 0:
         raise ValueError("order must be >= 0")
-    x = Fraction(x)
+    x = _as_fraction(x)
     if not 0 < x < 1:
         raise ValueError(f"x={x} must lie in (0, 1)")
     num, power = _polylog_rational(k)
@@ -102,7 +103,7 @@ def thermal_expect_weighted(
     Requires base * x < 1 for the geometric series to converge.  Uses the
     closed form sum_n t^n n!/(n-m)! = m! t^m / (1-t)^{m+1}.
     """
-    base = Fraction(base)
+    base = _as_fraction(base)
     if base <= 0:
         raise ValueError("base must be positive")
     t = base * state.x
@@ -124,13 +125,11 @@ def partition_normalization_squared(state: ThermalState) -> Fraction:
     return state.x / (1 - state.x) ** 2
 
 
-def ground_position_expectation(
-    f, tol: float = moments.DEFAULT_QUAD_TOL
-):
+def ground_position_expectation(f):
     """Expectation of f(x) in the ground oscillator equivalent to S_z.
 
     The position density coincides with the limiting Gaussian law of the
     trace moments, so this delegates to the same expectation functional.
     Accepts a polynomial coefficient sequence (exact) or a callable.
     """
-    return moments.gaussian_expectation(f, tol=tol)
+    return moments.gaussian_expectation(f)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,23 @@ def test_fit_decay_rate():
     # two errors at one N fix no slope
     assert fit_decay_rate([100, 100], [5e-3, 5e-3]) is None
     assert fit_decay_rate([100, 100, 0], [5e-3, 5e-3, 0.0]) is None
+
+
+def test_fitted_rate_is_the_exact_slope_rounded_once():
+    # the same binary64 on every Python version
+    h5 = parse_polynomial("(S+*S- + S-*S+)^5")
+    assert verify_theorem(h5, [10**12, 10**17]).fitted_rate == 0.9999999999997978
+    report = verify_theorem(parse_polynomial("Sz^2 + S+*Sz*S-"), [7, 50, 300, 2001])
+    assert report.fitted_rate == 0.5000000000000001
+    rng = random.Random(5)
+    for _ in range(200):
+        ns = sorted(rng.sample(range(2, 10**9), 4))
+        errs = [rng.random() * 10.0 ** rng.randint(-300, 3) for _ in ns]
+        xs, ys = ([Fraction(math.log(v)) for v in col] for col in (ns, errs))
+        k, sx, sy = len(ns), sum(xs), sum(ys)
+        slope = ((k * sum(x * y for x, y in zip(xs, ys)) - sx * sy)
+                 / (k * sum(x * x for x in xs) - sx * sx))
+        assert fit_decay_rate(ns, errs) == float(-slope)
 
 
 def test_ordering_sensitivity_examples():

@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 import spinboson
+from spinboson import spin_core
 from spinboson.cli import _COMMANDS, main
 from spinboson.moments import limit_moment
 from spinboson.parsing import parse_polynomial
@@ -177,9 +178,7 @@ def test_exit_code_domain_error(capsys):
 
 
 def test_exit_code_resource_error(capsys):
-    code, _, err = run(
-        capsys, "oracle", "--expr", "Sz", "--n", "20", "--oracle-cap", "14"
-    )
+    code, _, err = run(capsys, "oracle", "--expr", "Sz", "--n", "20")
     assert code == 2 and "resource error" in err
 
 
@@ -216,6 +215,37 @@ def test_oracle_refuses_words_beyond_int64(capsys):
     assert code == 0 and out.rstrip().endswith("MATCH")
 
 
+def test_oracle_cap_is_fixed(tmp_path, capsys):
+    code, out, err = run(capsys, "oracle", "--expr", "Sz", "--n", "4",
+                         "--oracle-cap", "14")
+    assert code == 1 and out == "" and err.startswith("error: ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("oracle_cap=14\n")
+    code, out, err = run(capsys, "--config", str(cfg), "oracle", "--expr",
+                         "Sz", "--n", "4")
+    assert code == 1 and out == ""
+    assert err == "error: unknown config key 'oracle_cap'\n"
+
+
+def test_digits_above_the_budget_exit_2_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("sector or matrix work began")
+
+    monkeypatch.setattr(spin_core, "sector_moments", no_work)
+    monkeypatch.setattr(spin_core, "_collective_ops", no_work)
+    for command in ("trace", "verify", "oracle"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--expr", "Sz^2", "--n", "4",
+                             "--digits", str(spin_core.MAX_DIGITS + 1))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "", command
+        assert err.startswith("resource error: ") and err.count("\n") == 1
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "trace", "--expr", "Sz^2", "--n", "4",
+                       "--digits", str(spin_core.MAX_DIGITS))
+    assert code == 0 and out == "N=4: 0.25\n"
+
+
 def test_config_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")
@@ -236,11 +266,9 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
         "--digits", "4",
     )
     assert code == 0 and out.strip() == "N=7: 0.1696"
-    cfg.write_text("oracle_cap=3\n")
-    code, _, err = run(
-        capsys, "--config", str(cfg), "oracle", "--expr", "Sz^2", "--n", "5"
-    )
-    assert code == 2 and "N <= 3" in err
+    cfg.write_text("max_l=2\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "moments")
+    assert code == 0 and out.splitlines()[-1] == "2  3/16 = 0.1875"
 
 
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
@@ -423,22 +451,26 @@ def test_moments_max_l_bounded_by_binary64(capsys):
         assert err.startswith("error:") and "197" in err
 
 
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports this spinboson."""
+    src = str(Path(spinboson.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def _modules_after(argvs, package):
     """Top-level ``package`` modules loaded by ``cli.main`` on each argv, in
     a fresh interpreter: other tests have already imported them here."""
-    code = (
+    proc = _fresh_python(
         "import sys\n"
         "from spinboson import cli\n"
         f"for argv in {argvs!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
-    src = str(Path(spinboson.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -459,6 +491,19 @@ def test_exact_commands_do_not_import_numpy():
     assert _modules_after(argvs, "numpy") == "[]"
     oracle = ["oracle", "--expr", "Sz^2", "--n", "4"]
     assert "'numpy'" in _modules_after(argvs + [oracle], "numpy")
+
+
+def test_oracle_without_numpy_names_the_extra():
+    # an install without the oracle extra: one error line, no traceback
+    proc = _fresh_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from spinboson import cli\n"
+        "sys.exit(cli.main(['oracle', '--expr', 'Sz', '--n', '4']))\n"
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: numpy is needed for oracle: "
+                           "pip install 'spinboson[oracle]'\n")
 
 
 def test_xy_does_not_import_mpmath():

@@ -77,6 +77,11 @@ def test_gaussian_expectation_polynomials_exact():
     assert gaussian_expectation([0, 1, 0, 5]) == 0
 
 
+def test_gaussian_expectation_refuses_float_coefficients():
+    with pytest.raises(TypeError):  # 0.5 is a binary64, not an exact 1/2
+        gaussian_expectation([0, 0, 0.5])
+
+
 def test_gaussian_expectation_callable_matches_exact():
     val = gaussian_expectation(lambda eta: eta**4)
     assert val == pytest.approx(3 / 16, abs=1e-11)

@@ -724,3 +724,15 @@ def test_algebra_budget_refuses_before_evaluating(monkeypatch, expr):
     monkeypatch.setattr(spin_core, "_operator", evaluated)
     with pytest.raises(ResourceLimitError):
         normalized_trace(10**6, parse_polynomial(expr))
+
+
+def test_digits_budget_is_checked_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("sector or matrix work began")
+
+    monkeypatch.setattr(spin_core, "sector_moments", no_work)
+    monkeypatch.setattr(spin_core, "_collective_ops", no_work)
+    sz = parse_polynomial("Sz^2")
+    for trace in (normalized_trace, dense_oracle_trace):
+        with pytest.raises(ResourceLimitError, match="digits"):
+            trace(4, sz, digits=spin_core.MAX_DIGITS + 1)

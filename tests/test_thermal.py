@@ -28,6 +28,20 @@ def test_state_validation():
         ThermalState(Fraction(3, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ThermalState(0.3),
+    lambda: thermal_expect_weighted(THEOREM_STATE, 0.5, NormalForm({(1, 1): 1})),
+    lambda: polylog_negative(2, 0.5),
+    lambda: density_diagonal(THEOREM_STATE, 2.0),
+    lambda: ground_position_expectation([0, 0, 0.5]),
+], ids=["ThermalState", "thermal_expect_weighted", "polylog_negative",
+        "density_diagonal", "ground_position_expectation"])
+def test_float_inputs_are_refused(call):
+    # a binary64 value is not silently taken for the rational it rounds to
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_theorem_state_basics():
     assert THEOREM_STATE.x == Fraction(1, 3)
     assert THEOREM_STATE.mean_occupation == Fraction(1, 2)
