@@ -84,6 +84,7 @@ def verify_theorem(
     any spin polynomial with a real limit is accepted.  Each error is the
     exact gap, rounded once to binary64.
     """
+    spin_core.check_digits(digits)
     n_values = list(n_values)
     if n_values != sorted(n_values):
         raise ValueError("N values must be ascending")

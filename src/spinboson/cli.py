@@ -298,8 +298,6 @@ def main(argv=None) -> int:
             parser, commands = _build_parser()
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
-        if getattr(args, "digits", 1) < 1:
-            raise ValueError("--digits must be >= 1")
         _emit(args, *_COMMANDS[args.command](args))
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)

@@ -71,6 +71,14 @@ def _check_word_length(length: int) -> None:
         )
 
 
+def check_digits(digits: int) -> None:
+    """Refuse a digit count below 1 or above ``MAX_DIGITS`` before any work."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1; got {digits}")
+    if digits > MAX_DIGITS:
+        raise ResourceLimitError(f"{digits} digits exceed the limit of {MAX_DIGITS}")
+
+
 def check_trace_budget(N: int, poly: SpinPolynomial) -> None:
     """Refuse a trace of ``poly`` at N sites before any work: terms of too many
     letters, or a shift-algebra key space (shifts x letter counts x (a, u)
@@ -500,8 +508,7 @@ def normalized_trace(N: int, poly: SpinPolynomial, digits: int = 12,
     binary64; the result is then labeled with ``float_path=True`` and
     ``exact`` holds the rounding.
     """
-    if digits > MAX_DIGITS:
-        raise ResourceLimitError(f"{digits} digits exceed the limit of {MAX_DIGITS}")
+    check_digits(digits)
     check_trace_budget(N, poly)
     diagonal = _sector_trace_poly(poly)
     values = _diagonal_values(N, list(diagonal.values()))
@@ -584,15 +591,15 @@ def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceR
     sum(P .* Q^T), where P and Q are the products of the first and second
     half of the word.  A trace is invariant under cyclic rotation, so it is
     computed once per rotation class, from the class's least rotation.
-    Refuses N > ``DENSE_ORACLE_CAP``, digits > ``MAX_DIGITS`` and int64 overflow.
+    Refuses digits below 1 or above ``MAX_DIGITS``, N > ``DENSE_ORACLE_CAP``
+    and int64 overflow.
     """
+    check_digits(digits)
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > DENSE_ORACLE_CAP:
         raise ResourceLimitError(
             f"dense oracle supports N <= {DENSE_ORACLE_CAP}; got N={N}")
-    if digits > MAX_DIGITS:
-        raise ResourceLimitError(f"{digits} digits exceed the limit of {MAX_DIGITS}")
     terms = words(poly)
     _check_int64(N, terms)
     ops = _collective_ops(N)

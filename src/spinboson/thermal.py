@@ -130,6 +130,7 @@ def ground_position_expectation(f):
 
     The position density coincides with the limiting Gaussian law of the
     trace moments, so this delegates to the same expectation functional.
-    Accepts a polynomial coefficient sequence (exact) or a callable.
+    ``f`` is a polynomial coefficient sequence, lowest power first; the value
+    is exact.
     """
     return moments.gaussian_expectation(f)

@@ -575,12 +575,12 @@ def test_digits_below_1_rejected(tmp_path, capsys):
                  ("trace", "--expr", "Sz^2", "--n", "4", "--digits", "0")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == "error: --digits must be >= 1\n"
+        assert err == f"error: digits must be >= 1; got {argv[-1]}\n"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("digits = 0\n")
     code, out, err = run(capsys, "--config", str(cfg), "trace", "--expr",
                          "Sz^2", "--n", "4")
-    assert code == 1 and out == "" and err == "error: --digits must be >= 1\n"
+    assert code == 1 and out == "" and err == "error: digits must be >= 1; got 0\n"
 
 
 @pytest.mark.parametrize("command", [

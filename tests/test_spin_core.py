@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinboson import spin_core, xy
+from spinboson.bridge import verify_theorem
 from spinboson.cli import main
 from spinboson.parsing import parse_polynomial
 from spinboson.rationals import ComplexRational
@@ -733,6 +734,13 @@ def test_digits_budget_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(spin_core, "sector_moments", no_work)
     monkeypatch.setattr(spin_core, "_collective_ops", no_work)
     sz = parse_polynomial("Sz^2")
-    for trace in (normalized_trace, dense_oracle_trace):
+
+    def verify(n, poly, digits):
+        return verify_theorem(poly, [n], digits=digits)
+
+    for trace in (normalized_trace, dense_oracle_trace, verify):
         with pytest.raises(ResourceLimitError, match="digits"):
             trace(4, sz, digits=spin_core.MAX_DIGITS + 1)
+        for digits in (0, -5):
+            with pytest.raises(ValueError, match="digits must be >= 1"):
+                trace(4, sz, digits=digits)
