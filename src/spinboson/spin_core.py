@@ -42,6 +42,8 @@ Z = "z"
 
 #: A word is a finite tuple of letters, applied right-to-left like a product.
 SpinWord = Tuple[str, ...]
+#: the letter of each letter's transpose: S+ and S- swap, 2 Sz is symmetric
+_ADJOINT = {PLUS: MINUS, MINUS: PLUS, Z: Z}
 
 #: largest N the dense trace oracle builds its 2^N x 2^N products for
 DENSE_ORACLE_CAP = 14
@@ -583,16 +585,27 @@ def _chain(ops, letters: Sequence[str]):
     return prod
 
 
+def _shared_prefix(a: SpinWord, b: SpinWord) -> int:
+    """The length of the longest common prefix of ``a`` and ``b``."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
 def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceResult:
     """Independent trace via explicit tensor products of Pauli operators.
 
     Builds the collective operators on the full 2^N space with integer
     entries (2*Sz keeps everything integral) and reads each exact trace as
-    sum(P .* Q^T), where P and Q are the products of the first and second
-    half of the word.  A trace is invariant under cyclic rotation, so it is
-    computed once per rotation class, from the class's least rotation.
-    Refuses digits below 1 or above ``MAX_DIGITS``, N > ``DENSE_ORACLE_CAP``
-    and int64 overflow.
+    the sum of the entries of P .* Q^T, where P and Q are the products of the
+    first ceil(L/2) and the remaining letters.  Q^T is itself a product: the
+    second half reversed, with S+ and S- swapped (2 Sz is symmetric).  A trace
+    is invariant under cyclic rotation, so it is computed once per rotation
+    class, from the class's least rotation.  The classes are visited in
+    sorted order and the products of the current first half's prefixes are
+    held, so a class reuses the first-half prefix it shares with the class
+    before it, and Q^T reuses the prefix it shares with P.  Refuses digits
+    below 1 or above ``MAX_DIGITS``, N > ``DENSE_ORACLE_CAP`` and int64
+    overflow, before any product.
     """
     check_digits(digits)
     if N < 1:
@@ -604,17 +617,33 @@ def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceR
     _check_int64(N, terms)
     ops = _collective_ops(N)
     pow2 = 2**N
+    keys = {word: min((word[i:] + word[:i] for i in range(len(word))),
+                      default=word) for word in terms}
+    identity = _chain(ops, ())
+
+    def times(prod, letters):
+        for ch in letters:
+            prod = ops[ch] if prod is identity else prod @ ops[ch]
+        return prod
+
     class_traces: Dict[SpinWord, int] = {}
+    first: SpinWord = ()
+    held = [identity]  # held[i] is the product of first[:i]
+    for key in sorted(set(keys.values())):
+        half = (len(key) + 1) // 2
+        shared = _shared_prefix(first, key[:half])
+        first = key[:half]
+        del held[shared + 1:]
+        for ch in first[shared:]:
+            held.append(times(held[-1], ch))
+        adjoint = tuple(_ADJOINT[ch] for ch in reversed(key[half:]))  # Q^T's letters
+        shared = _shared_prefix(first, adjoint)
+        q_t = times(held[shared], adjoint[shared:])
+        class_traces[key] = int(held[-1].multiply(q_t).data.sum())
     parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
     for word, coeff in terms.items():
-        L = len(word)
-        key = min((word[i:] + word[:i] for i in range(L)), default=word)
-        if key not in class_traces:
-            half = (L + 1) // 2
-            P, Q = _chain(ops, key[:half]), _chain(ops, key[half:])
-            class_traces[key] = int(P.multiply(Q.T).sum())
-        divisor, radical = letter_scale(N, L)
+        divisor, radical = letter_scale(N, len(word))
         parts[radical] += coeff * Fraction(
-            class_traces[key], 2 ** word.count(Z) * pow2 * divisor)
+            class_traces[keys[word]], 2 ** word.count(Z) * pow2 * divisor)
     exact, sqrt_n = parts
     return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))

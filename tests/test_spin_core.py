@@ -276,23 +276,71 @@ def test_dense_oracle_against_plain_product():
             odd_sz |= any(Z in w and len(w) % 2 for w in terms)
             complex_coeffs |= any(not c.is_real for c in terms.values())
     assert lengths == set(range(8)) and odd_sz and complex_coeffs
+    fixed = ["(S+*S- + S-*S+)^3",  # classes share a first half; Q^T = P
+             "(S+ + S-)^4",  # unbalanced words, whose traces are 0
+             "S+*Sz*S-"]  # odd length: a sqrt(N) part
+    for N in range(1, 9):
+        for expr in fixed:
+            poly = parse_polynomial(expr)
+            res = dense_oracle_trace(N, poly)
+            assert (res.exact, res.sqrt_n) == _plain_oracle(N, poly), (N, expr)
+    assert res.sqrt_n != 0
+
+
+def _count_sparse_calls(monkeypatch, N):
+    """Count the sparse products, transposes and elementwise products made
+    after the collective operators at ``N`` are built."""
+    import scipy.sparse as sp
+
+    spin_core._collective_ops(N)
+    calls = {"@": 0, "T": 0, ".*": 0}
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        for name, key in (("__matmul__", "@"), ("transpose", "T"),
+                          ("multiply", ".*")):
+            def counted(self, *args, _original=getattr(cls, name), _key=key,
+                        **kwargs):
+                calls[_key] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def test_dense_oracle_one_product_per_rotation_class(monkeypatch):
     word = (PLUS, Z, MINUS, MINUS, PLUS)
     poly = _tree({word[i:] + word[:i]: i + 1 for i in range(5)})
     assert len(words(poly)) == 5
-    chains = []
-
-    def counted(ops, letters):
-        chains.append(tuple(letters))
-        return original(ops, letters)
-
-    original = spin_core._chain
-    monkeypatch.setattr(spin_core, "_chain", counted)
+    calls = _count_sparse_calls(monkeypatch, 6)
     res = dense_oracle_trace(6, poly)
-    assert len(chains) == 2  # the two half-word products of one class
+    # one class, least rotation ++z--: P = S+ S+ 2Sz takes two products, and
+    # Q^T = S+ S+ is P's held prefix
+    assert calls == {"@": 2, "T": 0, ".*": 1}
     assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
+
+
+def test_dense_oracle_shares_first_halves(monkeypatch):
+    # three classes, ++-+--, ++--+- and +-+-+-: the first two share P = ++-,
+    # the third shares its S+; Q^T = P for the first and the third
+    poly = parse_polynomial("(S+*S- + S-*S+)^3")
+    calls = _count_sparse_calls(monkeypatch, 6)
+    res = dense_oracle_trace(6, poly)
+    assert calls == {"@": 6, "T": 0, ".*": 3}
+    assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
+
+
+def test_dense_oracle_at_the_int64_edge(monkeypatch):
+    # 2^8 * 8^18 = 2^62 < 2^63: the longest words the guard admits at N = 8
+    for expr in ("Sz^18", "(S+*Sz*S-)^6", "(S+*S-)^9"):
+        poly = parse_polynomial(expr)
+        dense, engine = dense_oracle_trace(8, poly), normalized_trace(8, poly)
+        assert (dense.exact, dense.sqrt_n) == (engine.exact, engine.sqrt_n), expr
+
+    def no_work(*args):
+        raise AssertionError("matrix work began")
+
+    monkeypatch.setattr(spin_core, "_collective_ops", no_work)
+    with pytest.raises(ResourceLimitError, match="2\\^63"):
+        dense_oracle_trace(8, parse_polynomial("Sz^19"))
 
 
 @pytest.mark.parametrize("N", [13, 14])
