@@ -560,28 +560,30 @@ def _collective_ops(N: int):
     return {PLUS: splus, MINUS: splus.T.tocsr(), Z: twice_sz}
 
 
-def _check_int64(N: int, terms: dict) -> None:
-    """Refuse ``terms`` when their longest word, of L letters, is too long: S+,
-    S-, 2Sz have entries and row sums <= N, so any product of <= L letters,
-    and its trace, is at most 2^N * N^L.  L is that of the expanded words,
-    since cancellation can leave it below the tree's degree."""
+def _dense_words(N: int, poly: SpinPolynomial, cap: int) -> dict:
+    """The expanded words of ``poly`` for a dense oracle at N sites, refused
+    before any matrix work if N < 1, N > ``cap``, or their longest word, of L
+    letters, could leave int64: S+, S-, 2Sz have entries and row sums <= N,
+    so a product of <= L letters, and its trace, is at most 2^N * N^L."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N > cap:
+        raise ResourceLimitError(f"dense oracle supports N <= {cap}; got N={N}")
+    terms = words(poly)
     L = max(map(len, terms), default=0)
     if 2**N * N**L >= 2**63:
         raise ResourceLimitError(
             f"dense oracle: a {L}-letter word at N={N} can reach "
             f"2^N * N^L = {2**N * N**L} >= 2^63, beyond int64"
         )
+    return terms
 
 
-def _chain(ops, letters: Sequence[str]):
-    """The integer product of ``letters`` left to right (identity if none)."""
-    import scipy.sparse as sp
-
-    if not letters:
-        return sp.identity(ops[PLUS].shape[0], dtype=ops[PLUS].dtype, format="csr")
-    prod = ops[letters[0]]
-    for ch in letters[1:]:
-        prod = prod @ ops[ch]
+def _chain(ops, letters: Sequence[str], prod=None):
+    """``prod`` times the integer product of ``letters``, left to right.
+    ``None`` stands for the identity, which is never multiplied."""
+    for ch in letters:
+        prod = ops[ch] if prod is None else prod @ ops[ch]
     return prod
 
 
@@ -604,42 +606,32 @@ def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceR
     sorted order and the products of the current first half's prefixes are
     held, so a class reuses the first-half prefix it shares with the class
     before it, and Q^T reuses the prefix it shares with P.  Refuses digits
-    below 1 or above ``MAX_DIGITS``, N > ``DENSE_ORACLE_CAP`` and int64
-    overflow, before any product.
+    below 1 or above ``MAX_DIGITS``, then what ``_dense_words`` refuses with
+    the cap ``DENSE_ORACLE_CAP``, before any product.
     """
     check_digits(digits)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N > DENSE_ORACLE_CAP:
-        raise ResourceLimitError(
-            f"dense oracle supports N <= {DENSE_ORACLE_CAP}; got N={N}")
-    terms = words(poly)
-    _check_int64(N, terms)
+    terms = _dense_words(N, poly, DENSE_ORACLE_CAP)
     ops = _collective_ops(N)
     pow2 = 2**N
     keys = {word: min((word[i:] + word[:i] for i in range(len(word))),
                       default=word) for word in terms}
-    identity = _chain(ops, ())
-
-    def times(prod, letters):
-        for ch in letters:
-            prod = ops[ch] if prod is identity else prod @ ops[ch]
-        return prod
-
     class_traces: Dict[SpinWord, int] = {}
     first: SpinWord = ()
-    held = [identity]  # held[i] is the product of first[:i]
+    held = [None]  # held[i] is the product of first[:i]; None, the identity
     for key in sorted(set(keys.values())):
         half = (len(key) + 1) // 2
         shared = _shared_prefix(first, key[:half])
         first = key[:half]
         del held[shared + 1:]
         for ch in first[shared:]:
-            held.append(times(held[-1], ch))
+            held.append(_chain(ops, (ch,), held[-1]))
         adjoint = tuple(_ADJOINT[ch] for ch in reversed(key[half:]))  # Q^T's letters
         shared = _shared_prefix(first, adjoint)
-        q_t = times(held[shared], adjoint[shared:])
-        class_traces[key] = int(held[-1].multiply(q_t).data.sum())
+        p, q_t = held[-1], _chain(ops, adjoint[shared:], held[shared])
+        if q_t is None:  # at most one letter: Q is the identity
+            class_traces[key] = pow2 if p is None else int(p.diagonal().sum())
+        else:
+            class_traces[key] = int(p.multiply(q_t).data.sum())
     parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
     for word, coeff in terms.items():
         divisor, radical = letter_scale(N, len(word))

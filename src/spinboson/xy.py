@@ -8,20 +8,20 @@ and are summed in stdlib ``decimal``, with as many digits as the
 cancellation of the signed terms requires.  On the boson side everything
 collapses to geometric series in the weighted thermal state.
 
-The boson side has one reading: the exponential weight and the observable
-are normal ordered together, and H maps to the x = 1/3 oscillator at
-hbar*omega/k_BT = ln 3.  This is the reading the finite-N spin computation
-converges to.
-
-Note on the readings that are not implemented.  Normal ordering the weight
-on its own, to (1-2g)^{a+a}, and multiplying it against the normal-ordered
-observable (the "separable" reading) gives <a+a> = 1/5 at gamma = 1, kT = 4,
-against 2/5 for the joint reading; the spin side of S+S- + S-S+ tends to
-2 * 2/5 = 0.8, so only the joint reading matches the large-N limit.  The
-paper prints the prefactor as exp(-ln(1-2g) a+a); with that sign the
-prefactor cancels the weight (1-2g)^{a+a}, so ``boson_thermal_expectation``
-uses the opposite sign, the only one consistent with the weighted
-expectation.
+The boson side reads the weighted state in two ways, with g = gamma/kT.
+The joint reading normal orders the weight and the observable together: H
+maps to the x = 1/3 oscillator at hbar*omega/k_BT = ln 3, weighted to
+x' = 1/(3 + 2g).  ``boson_thermal_expectation`` (the printed <f>_boson) uses
+it, the only reading the finite-N spin computation converges to.  The
+separable reading normal orders the weight on its own, to (1-2g)^{a+a}, an
+oscillator of Boltzmann ratio 1/r, r = 3/(1 - 2g): ``partition_function``
+(Z), ``effective_temperature`` (T_eff) and both bounds (r > 1) use it, as the
+paper prints them.  Its expectations are not implemented: at gamma = 1,
+kT = 4 it gives <a+a> = 1/5 against the joint 2/5, and the spin side of
+S+S- + S-S+ tends to 2 * 2/5 = 0.8.  The paper prints the prefactor as
+exp(-ln(1-2g) a+a); with that sign the prefactor cancels the weight
+(1-2g)^{a+a}, so ``boson_thermal_expectation`` uses the opposite sign, the
+only one consistent with the weighted expectation.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import List, Tuple
 from . import spin_core
 from .boson import NormalForm
 from .rationals import ComplexRational
-from .spin_core import SpinPolynomial, Z
+from .spin_core import MINUS, PLUS, SpinPolynomial, Z
 from .thermal import THEOREM_STATE, ThermalState, thermal_expect
 
 #: decimal digits of the first sum in ``spin_thermal_expectation``
@@ -207,39 +207,37 @@ def spin_thermal_dense_oracle(
     H commutes with Sz, so it is block diagonal by magnetization on the 2^N
     space.  Each block is diagonalized in binary64, and only the diagonal of
     the observable rotated into its eigenbasis is traced against the
-    Boltzmann weights; each observable word is the trace oracle's exact
-    integer product, converted once.  Refuses N above ``DENSE_ORACLE_CAP``
-    and words whose products could leave int64.
+    Boltzmann weights.  H and each observable word are the trace oracle's
+    exact integer products, converted once.  Before any matrix work the trace
+    oracle's admission, capped at ``DENSE_ORACLE_CAP``, refuses N below 1 or
+    above the cap and words that could leave int64, and any imaginary
+    coefficient is refused: stricter than ``spin_thermal_expectation``, which
+    refuses only an imaginary diagonal, so it accepts i*S+ and this does not.
     """
-    if N > DENSE_ORACLE_CAP:
-        raise spin_core.ResourceLimitError(
-            f"dense XY oracle capped at N={DENSE_ORACLE_CAP}"
-        )
+    terms = spin_core._dense_words(N, poly, DENSE_ORACLE_CAP)
+    if not all(coeff.is_real for coeff in terms.values()):
+        raise ValueError("thermal expectation requires real coefficients")
     import numpy as np
     import scipy.linalg
-    import scipy.sparse
 
-    terms = spin_core.words(poly)
-    spin_core._check_int64(N, terms)
     ops = spin_core._collective_ops(N)
-    splus = ops[spin_core.PLUS].astype(float)
-    sminus = ops[spin_core.MINUS].astype(float)
-    h = (float(params.gamma) / N) * (splus @ sminus + sminus @ splus)
-    obs = scipy.sparse.csr_matrix(h.shape, dtype=complex)
+    h = spin_core._chain(ops, (PLUS, MINUS)) + spin_core._chain(ops, (MINUS, PLUS))
+    h = (float(params.gamma) / N) * h.astype(float)
+    obs = 0 * h  # a zero start; a constant term, the identity, joins the mean
     for word, coeff in terms.items():
-        mat = spin_core._chain(ops, word) / 2.0 ** word.count(Z)
-        obs = obs + complex(coeff) * mat * N ** (-len(word) / 2)
+        if word:
+            mat = spin_core._chain(ops, word) / 2.0 ** word.count(Z)
+            obs = obs + float(coeff.re) * mat * N ** (-len(word) / 2)
     twice_sz = ops[Z].diagonal()
     num = den = 0.0
     for value in np.unique(twice_sz):
         block = np.flatnonzero(twice_sz == value)
         evals, vecs = scipy.linalg.eigh(h[block][:, block].toarray())
         weights = np.exp(-evals / float(params.kT))
-        rotated = np.einsum("ji,ji->i", vecs.conj(),
-                            obs[block][:, block] @ vecs)
-        num += float(np.real(np.sum(weights * rotated)))
+        rotated = np.einsum("ji,ji->i", vecs, obs[block][:, block] @ vecs)
+        num += float(np.sum(weights * rotated))
         den += float(np.sum(weights))
-    return num / den
+    return num / den + complex(terms.get((), 0)).real
 
 
 def boson_thermal_expectation(params: XYParams, form: NormalForm) -> Fraction:

@@ -1,7 +1,9 @@
 import decimal
+import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -792,3 +794,24 @@ def test_digits_budget_is_checked_before_any_work(monkeypatch):
         for digits in (0, -5):
             with pytest.raises(ValueError, match="digits must be >= 1"):
                 trace(4, sz, digits=digits)
+
+    # every refusal of either dense oracle also comes before any matrix work,
+    # and before numpy or scipy is imported
+    for name in ("numpy", "scipy", "scipy.linalg", "scipy.sparse"):
+        monkeypatch.setitem(sys.modules, name, None)
+    params = xy.XYParams(Fraction(1), Fraction(4))
+    oracles = ((dense_oracle_trace, spin_core.DENSE_ORACLE_CAP, "Sz^19", 8),
+               (functools.partial(xy.spin_thermal_dense_oracle, params),
+                xy.DENSE_ORACLE_CAP, "Sz^15", 12))
+    for oracle, cap, long_word, n in oracles:
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                oracle(N, sz)
+        with pytest.raises(ResourceLimitError, match=f"N <= {cap}; got N={cap + 1}"):
+            oracle(cap + 1, sz)
+        with pytest.raises(ResourceLimitError, match="2\\^63"):
+            oracle(n, parse_polynomial(long_word))
+    i_number = node("product", node("constant", ComplexRational(0, 1)),
+                    node("letter", PLUS), node("letter", MINUS))
+    with pytest.raises(ValueError, match="requires real coefficients"):
+        xy.spin_thermal_dense_oracle(params, 4, i_number)

@@ -162,6 +162,30 @@ def test_spin_thermal_dense_oracle_refuses_words_beyond_int64():
         spin_thermal_expectation(params, 10, poly), rel=1e-10)
 
 
+def test_spin_thermal_dense_oracle_constants_and_imaginary_words():
+    params = XYParams(Fraction(1), Fraction(4))
+    # the zero polynomial has no words, and its mean is 0.0 on both sides
+    zero = parse_polynomial("0")
+    assert spin_thermal_dense_oracle(params, 6, zero) == 0.0
+    assert spin_thermal_expectation(params, 6, zero) == 0.0
+    # a constant term is the identity's share of the mean
+    poly = parse_polynomial("3 + S+*S-")
+    assert spin_thermal_dense_oracle(params, 6, poly) == pytest.approx(
+        spin_thermal_expectation(params, 6, poly), rel=1e-12)
+    # i S+S- has an imaginary diagonal, and both sides refuse it; i S+ has
+    # none, so the engine's mean is 0, but the oracle refuses it too
+    i = spin_core.node("constant", ComplexRational(0, 1))
+    plus, minus = (spin_core.node("letter", ch) for ch in "+-")
+    i_number, i_plus = (spin_core.node("product", i, *letters)
+                        for letters in ((plus, minus), (plus,)))
+    for expectation in (spin_thermal_expectation, spin_thermal_dense_oracle):
+        with pytest.raises(ValueError, match="requires real coefficients"):
+            expectation(params, 6, i_number)
+    assert spin_thermal_expectation(params, 6, i_plus) == 0.0
+    with pytest.raises(ValueError, match="requires real coefficients"):
+        spin_thermal_dense_oracle(params, 6, i_plus)
+
+
 @pytest.mark.parametrize("gamma, kT", [(1, 4), (-1, 3)])
 def test_spin_thermal_mixed_word_lengths_against_dense_oracle(gamma, kT):
     # lengths 1 to 4, odd ones included, each with its own N^{-L/2} scale
