@@ -21,7 +21,8 @@ degree <= L/2 for all n >= 1; a^k u^(2i) = (4 S^2)^k (2 Sz)^(2i) gives one of
 degree i + k.  Above ``CROSSOVER_N`` sites the sums are taken at n = 1 ...
 i + k + 2 only, and the exact polynomial through all but the last node, which
 checks it, is evaluated at N.  A dense tensor-product oracle over the 2^N
-space checks small N.
+space checks small N; every letter commutes with site permutations, so it
+walks one basis state per number of down sites through each word.
 """
 
 from __future__ import annotations
@@ -42,10 +43,8 @@ Z = "z"
 
 #: A word is a finite tuple of letters, applied right-to-left like a product.
 SpinWord = Tuple[str, ...]
-#: the letter of each letter's transpose: S+ and S- swap, 2 Sz is symmetric
-_ADJOINT = {PLUS: MINUS, MINUS: PLUS, Z: Z}
 
-#: largest N the dense trace oracle builds its 2^N x 2^N products for
+#: largest N of the dense trace oracle's 2^N-dimensional operators
 DENSE_ORACLE_CAP = 14
 #: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
 MAX_WORD_LETTERS = 64
@@ -580,10 +579,10 @@ def _dense_words(N: int, poly: SpinPolynomial, cap: int) -> dict:
 
 
 def _chain(ops, letters: Sequence[str], prod=None):
-    """``prod`` times the integer product of ``letters``, left to right.
-    ``None`` stands for the identity, which is never multiplied."""
-    for ch in letters:
-        prod = ops[ch] if prod is None else prod @ ops[ch]
+    """The integer product of ``letters`` times ``prod``, applied right to
+    left.  ``None`` stands for the identity, which is never multiplied."""
+    for ch in reversed(letters):
+        prod = ops[ch] if prod is None else ops[ch] @ prod
     return prod
 
 
@@ -597,41 +596,41 @@ def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceR
     """Independent trace via explicit tensor products of Pauli operators.
 
     Builds the collective operators on the full 2^N space with integer
-    entries (2*Sz keeps everything integral) and reads each exact trace as
-    the sum of the entries of P .* Q^T, where P and Q are the products of the
-    first ceil(L/2) and the remaining letters.  Q^T is itself a product: the
-    second half reversed, with S+ and S- swapped (2 Sz is symmetric).  A trace
-    is invariant under cyclic rotation, so it is computed once per rotation
-    class, from the class's least rotation.  The classes are visited in
-    sorted order and the products of the current first half's prefixes are
-    held, so a class reuses the first-half prefix it shares with the class
-    before it, and Q^T reuses the prefix it shares with P.  Refuses digits
+    entries (2*Sz keeps everything integral).  Every letter commutes with
+    the site permutations, so a word's diagonal element at a basis state
+    depends only on its number k of down sites: the trace is
+    sum_k C(N, k) <e_k|W|e_k>, with e_k = 2^k - 1 (the first k sites down).
+    The e_k are the unit columns of one dense int64 2^N x (N + 1) block, on
+    which the letters act right to left, one sparse times dense product
+    each; no 2^N x 2^N product is formed.  A trace is invariant under cyclic
+    rotation, so it is computed once per rotation class, from the class's
+    least rotation.  The classes are visited in the order of their reversed
+    least rotations and the blocks of the current one's suffixes are held,
+    so a class reuses the suffix it shares with the class before it.  Refuses digits
     below 1 or above ``MAX_DIGITS``, then what ``_dense_words`` refuses with
     the cap ``DENSE_ORACLE_CAP``, before any product.
     """
     check_digits(digits)
     terms = _dense_words(N, poly, DENSE_ORACLE_CAP)
     ops = _collective_ops(N)
-    pow2 = 2**N
+    import numpy as np
+
+    pow2, shells = 2**N, np.arange(N + 1)
+    diagonal = ((1 << shells) - 1, shells)  # the entries (e_k, k)
+    start = np.zeros((pow2, N + 1), np.int64)
+    start[diagonal] = 1
     keys = {word: min((word[i:] + word[:i] for i in range(len(word))),
-                      default=word) for word in terms}
+                      default=word)[::-1] for word in terms}  # in acting order
     class_traces: Dict[SpinWord, int] = {}
-    first: SpinWord = ()
-    held = [None]  # held[i] is the product of first[:i]; None, the identity
+    last: SpinWord = ()
+    held = [start]  # held[i]: the block after the first i letters of ``last``
     for key in sorted(set(keys.values())):
-        half = (len(key) + 1) // 2
-        shared = _shared_prefix(first, key[:half])
-        first = key[:half]
+        shared, last = _shared_prefix(last, key), key
         del held[shared + 1:]
-        for ch in first[shared:]:
+        for ch in key[shared:]:
             held.append(_chain(ops, (ch,), held[-1]))
-        adjoint = tuple(_ADJOINT[ch] for ch in reversed(key[half:]))  # Q^T's letters
-        shared = _shared_prefix(first, adjoint)
-        p, q_t = held[-1], _chain(ops, adjoint[shared:], held[shared])
-        if q_t is None:  # at most one letter: Q is the identity
-            class_traces[key] = pow2 if p is None else int(p.diagonal().sum())
-        else:
-            class_traces[key] = int(p.multiply(q_t).data.sum())
+        entries = held[-1][diagonal].tolist()
+        class_traces[key] = sum(math.comb(N, k) * e for k, e in enumerate(entries))
     parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
     for word, coeff in terms.items():
         divisor, radical = letter_scale(N, len(word))

@@ -290,44 +290,69 @@ def test_dense_oracle_against_plain_product():
 
 
 def _count_sparse_calls(monkeypatch, N):
-    """Count the sparse products, transposes and elementwise products made
-    after the collective operators at ``N`` are built."""
+    """Count the products a sparse matrix makes after the collective
+    operators at ``N`` are built: with a dense block, with another sparse
+    matrix, and any transpose or elementwise product."""
     import scipy.sparse as sp
 
     spin_core._collective_ops(N)
-    calls = {"@": 0, "T": 0, ".*": 0}
+    calls = {"sparse @ block": 0, "sparse @ sparse": 0, "transpose": 0,
+             "multiply": 0}
     for cls in (sp.csr_matrix, sp.csc_matrix):
-        for name, key in (("__matmul__", "@"), ("transpose", "T"),
-                          ("multiply", ".*")):
-            def counted(self, *args, _original=getattr(cls, name), _key=key,
+        for name in ("__matmul__", "__rmatmul__", "transpose", "multiply"):
+            def counted(self, *args, _original=getattr(cls, name), _name=name,
                         **kwargs):
-                calls[_key] += 1
+                if _name.endswith("matmul__"):
+                    dense = isinstance(args[0], np.ndarray)
+                    calls["sparse @ block" if dense else "sparse @ sparse"] += 1
+                else:
+                    calls[_name] += 1
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, name, counted)
     return calls
 
 
-def test_dense_oracle_one_product_per_rotation_class(monkeypatch):
+def test_dense_oracle_one_walk_per_rotation_class(monkeypatch):
     word = (PLUS, Z, MINUS, MINUS, PLUS)
     poly = _tree({word[i:] + word[:i]: i + 1 for i in range(5)})
     assert len(words(poly)) == 5
     calls = _count_sparse_calls(monkeypatch, 6)
     res = dense_oracle_trace(6, poly)
-    # one class, least rotation ++z--: P = S+ S+ 2Sz takes two products, and
-    # Q^T = S+ S+ is P's held prefix
-    assert calls == {"@": 2, "T": 0, ".*": 1}
+    # one class, least rotation ++z--: its five letters act on the block once
+    assert calls == {"sparse @ block": 5, "sparse @ sparse": 0, "transpose": 0,
+                     "multiply": 0}
     assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
 
 
-def test_dense_oracle_shares_first_halves(monkeypatch):
-    # three classes, ++-+--, ++--+- and +-+-+-: the first two share P = ++-,
-    # the third shares its S+; Q^T = P for the first and the third
+def test_dense_oracle_shares_suffixes(monkeypatch):
+    # three classes, reversed --+-++, -+--++ and -+-+-+: the second shares the
+    # first's last letter -, the third the second's last three -+-, so the
+    # walk takes 6 + 5 + 3 products instead of 18
     poly = parse_polynomial("(S+*S- + S-*S+)^3")
     calls = _count_sparse_calls(monkeypatch, 6)
     res = dense_oracle_trace(6, poly)
-    assert calls == {"@": 6, "T": 0, ".*": 3}
+    assert calls == {"sparse @ block": 14, "sparse @ sparse": 0, "transpose": 0,
+                     "multiply": 0}
     assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
+
+
+def test_word_diagonals_are_constant_on_hamming_shells():
+    # the premise of the dense oracle: every diagonal element of a word at a
+    # basis state depends only on how many of its sites are down
+    import scipy.sparse as sp
+
+    for N in range(1, 7):
+        ops = spin_core._collective_ops(N)
+        weight = np.array([bin(i).count("1") for i in range(2**N)])
+        shell_start = (1 << weight) - 1  # e_k: the first k sites down
+        products = {(): sp.identity(2**N, np.int64, format="csr")}
+        for L in range(1, 6):  # each word's product from its tail's
+            for word in itertools.product((PLUS, MINUS, Z), repeat=L):
+                products[word] = spin_core._chain(ops, word[:1], products[word[1:]])
+        for word, product in products.items():
+            diagonal = product.diagonal()
+            assert (diagonal == diagonal[shell_start]).all(), (N, word)
 
 
 def test_dense_oracle_at_the_int64_edge(monkeypatch):
@@ -347,7 +372,8 @@ def test_dense_oracle_at_the_int64_edge(monkeypatch):
 
 @pytest.mark.parametrize("N", [13, 14])
 @pytest.mark.parametrize(
-    "expr", ["(S+*S- + S-*S+)^2", "(S+ + S-)^4", "S+*Sz^2*S-"])
+    "expr", ["(S+*S- + S-*S+)^2", "(S+ + S-)^4", "S+*Sz^2*S-", "(S+*S- + S-*S+)^3",
+             "(S+*S- + S-*S+)^4", "(S+ + S- + Sz)^6"])
 def test_engine_equals_oracle_up_to_fourteen_sites(N, expr):
     poly = parse_polynomial(expr)
     engine, dense = normalized_trace(N, poly), dense_oracle_trace(N, poly)
