@@ -1,6 +1,6 @@
 """Command-line front end for batch computations.
 
-Exit codes: 0 success, 1 domain, usage or missing-extra error, 2 resource error.
+Exit codes: 0 success, 1 domain or usage error, 2 resource error.
 """
 
 from __future__ import annotations
@@ -302,12 +302,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
-    except ImportError as exc:  # numpy or scipy: only the oracle extra has them
-        if exc.name not in ("numpy", "scipy"):
-            raise
-        print(f"error: {exc.name} is needed for {args.command}: "
-              "pip install 'spinboson[oracle]'", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,9 +20,10 @@ is traceless, so 2^{-n} tr_n of an L-letter word is a polynomial in n of
 degree <= L/2 for all n >= 1; a^k u^(2i) = (4 S^2)^k (2 Sz)^(2i) gives one of
 degree i + k.  Above ``CROSSOVER_N`` sites the sums are taken at n = 1 ...
 i + k + 2 only, and the exact polynomial through all but the last node, which
-checks it, is evaluated at N.  A dense tensor-product oracle over the 2^N
-space checks small N; every letter commutes with site permutations, so it
-walks one basis state per number of down sites through each word.
+checks it, is evaluated at N.  A dense oracle checks small N from the
+action of the letters on the 2^N basis: every letter commutes with site
+permutations, so it walks one basis state per number of down sites through
+each word, in the span of two-group Dicke sums.
 """
 
 from __future__ import annotations
@@ -44,8 +45,12 @@ Z = "z"
 #: A word is a finite tuple of letters, applied right-to-left like a product.
 SpinWord = Tuple[str, ...]
 
-#: largest N of the dense trace oracle's 2^N-dimensional operators
+#: largest N of the dense trace oracle
 DENSE_ORACLE_CAP = 14
+#: budget on a dense oracle's letter steps, L (L + 1) (N + 1) per word of L
+#: letters (``_dense_words``); (S+ + S- + Sz)^10 at N = 14, 9.7e7 steps,
+#: takes about 3 s, mostly its word expansion (2-vCPU VM, Python 3.11)
+MAX_ORACLE_WORK = 10**8
 #: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
 MAX_WORD_LETTERS = 64
 #: largest N whose trace sums every sector, at most 8256 cells; above it only
@@ -536,105 +541,94 @@ def _normalized_trace_float(N: int, exact, sqrt_n, digits: int) -> TraceResult:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _collective_ops(N: int):
-    """Sparse integer collective operators S+, S-, 2*Sz on the 2^N space.
-
-    Bit b of a basis index is 0 when its site is up.  S+ clears one set bit,
-    so it has a 1 at (i - 2^b, i) for each set bit b of i; S- is its
-    transpose, and 2 Sz is diagonal with N - 2 popcount(i).
-    """
-    import numpy as np
-    import scipy.sparse as sp
-
-    index = np.arange(2**N, dtype=np.int64)
-    down = [index[(index >> b) & 1 == 1] for b in range(N)]
-    cols = np.concatenate(down)
-    rows = np.concatenate([c - (1 << b) for b, c in enumerate(down)])
-    splus = sp.csr_matrix((np.ones(len(cols), np.int64), (rows, cols)),
-                          shape=(2**N, 2**N))
-    twice_sz = sp.diags(N - 2 * sum((index >> b) & 1 for b in range(N)),
-                        format="csr", dtype=np.int64)
-    twice_sz.eliminate_zeros()
-    return {PLUS: splus, MINUS: splus.T.tocsr(), Z: twice_sz}
+def _word_lengths(poly: SpinPolynomial) -> Dict[int, int]:
+    """{L: number of L-letter words} in the expansion of ``poly``, counted on
+    the tree without multiplying it out and without cancellation, so at
+    least the number of words ``words(poly)`` keeps."""
+    kind, args = poly.kind, poly.args
+    if kind in ("letter", "constant"):
+        return {poly.degree: 1}
+    if kind == "sum":
+        return functools.reduce(_add_words, map(_word_lengths, args))
+    factors = ([_word_lengths(args[0])] * args[1] if kind == "power"
+               else list(map(_word_lengths, args)))
+    return functools.reduce(_multiply_words, factors, {0: 1})
 
 
 def _dense_words(N: int, poly: SpinPolynomial, cap: int) -> dict:
     """The expanded words of ``poly`` for a dense oracle at N sites, refused
-    before any matrix work if N < 1, N > ``cap``, or their longest word, of L
-    letters, could leave int64: S+, S-, 2Sz have entries and row sums <= N,
-    so a product of <= L letters, and its trace, is at most 2^N * N^L."""
+    before they are expanded if N < 1, N > ``cap``, or the oracle's work is
+    above ``MAX_ORACLE_WORK``.  The work of an L-letter word is L (L + 1)
+    (N + 1): its walk applies L letters in each of the N + 1 shells, to at
+    most L + 1 states each; the words are counted by ``_word_lengths``."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > cap:
         raise ResourceLimitError(f"dense oracle supports N <= {cap}; got N={N}")
-    terms = words(poly)
-    L = max(map(len, terms), default=0)
-    if 2**N * N**L >= 2**63:
-        raise ResourceLimitError(
-            f"dense oracle: a {L}-letter word at N={N} can reach "
-            f"2^N * N^L = {2**N * N**L} >= 2^63, beyond int64"
-        )
-    return terms
+    work = (N + 1) * sum(c * L * (L + 1) for L, c in _word_lengths(poly).items())
+    if work > MAX_ORACLE_WORK:
+        raise ResourceLimitError(f"dense oracle: a predicted {work} letter steps "
+                                 f"at N={N} exceed the budget of {MAX_ORACLE_WORK}")
+    return words(poly)
 
 
-def _chain(ops, letters: Sequence[str], prod=None):
-    """The integer product of ``letters`` times ``prod``, applied right to
-    left.  ``None`` stands for the identity, which is never multiplied."""
+def _letter(N: int, k: int, ch: str, state: dict) -> dict:
+    """One letter on a vector of shell k, {(a, b): coefficient of |a, b>}.
+    |a, b> is the sum of the basis states with a of the first k sites and b
+    of the other N - k down, and the letters map these sums to each other:
+    S+|a, b> = (k - a + 1)|a - 1, b> + (N - k - b + 1)|a, b - 1>,
+    S-|a, b> = (a + 1)|a + 1, b> + (b + 1)|a, b + 1> and
+    2Sz|a, b> = (N - 2a - 2b)|a, b>."""
+    out: Dict[Tuple[int, int], int] = {}
+    for (a, b), c in state.items():
+        if ch == Z:
+            steps = (((a, b), N - 2 * (a + b)),)
+        elif ch == PLUS:
+            steps = (((a - 1, b), k - a + 1), ((a, b - 1), N - k - b + 1))
+        else:
+            steps = (((a + 1, b), a + 1), ((a, b + 1), b + 1))
+        for (x, y), m in steps:
+            if 0 <= x <= k and 0 <= y <= N - k and m:
+                out[x, y] = out.get((x, y), 0) + m * c
+    return out
+
+
+def _walk(N: int, k: int, letters: Sequence[str], start: Tuple[int, int]) -> dict:
+    """The integer vector of ``letters``, applied right to left, times the
+    sum |start> of shell k; see ``_letter``."""
+    state = {start: 1}
     for ch in reversed(letters):
-        prod = ops[ch] if prod is None else ops[ch] @ prod
-    return prod
-
-
-def _shared_prefix(a: SpinWord, b: SpinWord) -> int:
-    """The length of the longest common prefix of ``a`` and ``b``."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
-                min(len(a), len(b)))
+        state = _letter(N, k, ch, state)
+    return state
 
 
 def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceResult:
-    """Independent trace via explicit tensor products of Pauli operators.
+    """Independent trace from the action of the letters on the 2^N basis.
 
-    Builds the collective operators on the full 2^N space with integer
-    entries (2*Sz keeps everything integral).  Every letter commutes with
-    the site permutations, so a word's diagonal element at a basis state
-    depends only on its number k of down sites: the trace is
-    sum_k C(N, k) <e_k|W|e_k>, with e_k = 2^k - 1 (the first k sites down).
-    The e_k are the unit columns of one dense int64 2^N x (N + 1) block, on
-    which the letters act right to left, one sparse times dense product
-    each; no 2^N x 2^N product is formed.  A trace is invariant under cyclic
-    rotation, so it is computed once per rotation class, from the class's
-    least rotation.  The classes are visited in the order of their reversed
-    least rotations and the blocks of the current one's suffixes are held,
-    so a class reuses the suffix it shares with the class before it.  Refuses digits
-    below 1 or above ``MAX_DIGITS``, then what ``_dense_words`` refuses with
-    the cap ``DENSE_ORACLE_CAP``, before any product.
+    Every letter commutes with the site permutations, so a word's diagonal
+    element at a basis state depends only on its number k of down sites: the
+    trace is sum_k C(N, k) <e_k|W|e_k>, with e_k the state whose first k
+    sites are down.  Permuting the first k sites, or the last N - k, fixes
+    e_k, so W e_k stays in the span of the sums |a, b> of ``_letter``, where
+    e_k = |k, 0> is a single state; <e_k|W|e_k> is the coefficient of |k, 0>
+    in W|k, 0>, exact in Python integers (2Sz keeps every entry integral).
+    S- raises a + b by one, S+ lowers it and 2Sz keeps it, so only words with
+    as many S- as S+ come back to |k, 0>.  A trace is invariant under cyclic
+    rotation, so each rotation class is walked once, from its least rotation.
+    Refuses digits below 1 or above ``MAX_DIGITS``, then what ``_dense_words``
+    refuses with the cap ``DENSE_ORACLE_CAP``, before any walk.
     """
     check_digits(digits)
-    terms = _dense_words(N, poly, DENSE_ORACLE_CAP)
-    ops = _collective_ops(N)
-    import numpy as np
-
-    pow2, shells = 2**N, np.arange(N + 1)
-    diagonal = ((1 << shells) - 1, shells)  # the entries (e_k, k)
-    start = np.zeros((pow2, N + 1), np.int64)
-    start[diagonal] = 1
-    keys = {word: min((word[i:] + word[:i] for i in range(len(word))),
-                      default=word)[::-1] for word in terms}  # in acting order
-    class_traces: Dict[SpinWord, int] = {}
-    last: SpinWord = ()
-    held = [start]  # held[i]: the block after the first i letters of ``last``
-    for key in sorted(set(keys.values())):
-        shared, last = _shared_prefix(last, key), key
-        del held[shared + 1:]
-        for ch in key[shared:]:
-            held.append(_chain(ops, (ch,), held[-1]))
-        entries = held[-1][diagonal].tolist()
-        class_traces[key] = sum(math.comb(N, k) * e for k, e in enumerate(entries))
+    classes: Dict[SpinWord, ComplexRational] = {}
+    for word, coeff in _dense_words(N, poly, DENSE_ORACLE_CAP).items():
+        if word.count(PLUS) == word.count(MINUS):
+            key = min(word[i:] + word[:i] for i in range(len(word))) if word else word
+            classes[key] = classes.get(key, 0) + coeff
     parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
-    for word, coeff in terms.items():
-        divisor, radical = letter_scale(N, len(word))
-        parts[radical] += coeff * Fraction(
-            class_traces[keys[word]], 2 ** word.count(Z) * pow2 * divisor)
+    for key, coeff in classes.items():
+        trace = sum(math.comb(N, k) * _walk(N, k, key, (k, 0)).get((k, 0), 0)
+                    for k in range(N + 1))
+        divisor, radical = letter_scale(N, len(key))
+        parts[radical] += coeff * Fraction(trace, 2 ** key.count(Z) * 2**N * divisor)
     exact, sqrt_n = parts
     return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))

@@ -46,8 +46,7 @@ GUARD_DIGITS = 20
 _SMALLEST_FLOAT = decimal.Decimal(math.ulp(0.0))
 #: budget on (N + 1) x degree, the cells of a sum over every sector
 MAX_TRACE_CELLS = 10**8
-#: largest N the dense XY oracle diagonalizes (by magnetization blocks of
-#: the 2^N x 2^N Hamiltonian)
+#: largest N of the dense XY oracle
 DENSE_ORACLE_CAP = 12
 
 
@@ -202,41 +201,49 @@ def spin_thermal_expectation(params: XYParams, N: int, poly: SpinPolynomial) -> 
 def spin_thermal_dense_oracle(
     params: XYParams, N: int, poly: SpinPolynomial
 ) -> float:
-    """Dense tensor-product check of the finite-N thermal expectation.
+    """Dense check of the finite-N thermal expectation from the action of the
+    letters on the 2^N basis.
 
-    H commutes with Sz, so it is block diagonal by magnetization on the 2^N
-    space.  Each block is diagonalized in binary64, and only the diagonal of
-    the observable rotated into its eigenbasis is traced against the
-    Boltzmann weights.  H and each observable word are the trace oracle's
-    exact integer products, converted once.  Before any matrix work the trace
-    oracle's admission, capped at ``DENSE_ORACLE_CAP``, refuses N below 1 or
-    above the cap and words that could leave int64, and any imaginary
-    coefficient is refused: stricter than ``spin_thermal_expectation``, which
-    refuses only an imaginary diagonal, so it accepts i*S+ and this does not.
+    e^{-beta H} W is a function of collective letters, so its trace is
+    sum_k C(N, k) <e_k|e^{-beta H} W|e_k>, as in ``dense_oracle_trace``.  H
+    keeps the number of down sites, so in shell k it acts on the sums
+    |a, k - a> only, the level of e_k = |k, 0>; the walk of ``_letter``
+    gives H and W e_k there, each sum divided by its norm
+    sqrt(C(k, a) C(N - k, k - a)) makes H symmetric, and one ``eigh`` per
+    shell gives the Boltzmann factors.  Words with unequal numbers of S+ and
+    S- leave that level and add nothing.  Before any walk the trace oracle's
+    admission, capped at ``DENSE_ORACLE_CAP``, refuses N below 1 or above the
+    cap and words beyond its work budget, and any imaginary coefficient is
+    refused: stricter than ``spin_thermal_expectation``, which refuses only
+    an imaginary diagonal, so it accepts i*S+ and this does not.
     """
     terms = spin_core._dense_words(N, poly, DENSE_ORACLE_CAP)
     if not all(coeff.is_real for coeff in terms.values()):
         raise ValueError("thermal expectation requires real coefficients")
     import numpy as np
-    import scipy.linalg
 
-    ops = spin_core._collective_ops(N)
-    h = spin_core._chain(ops, (PLUS, MINUS)) + spin_core._chain(ops, (MINUS, PLUS))
-    h = (float(params.gamma) / N) * h.astype(float)
-    obs = 0 * h  # a zero start; a constant term, the identity, joins the mean
-    for word, coeff in terms.items():
-        if word:
-            mat = spin_core._chain(ops, word) / 2.0 ** word.count(Z)
-            obs = obs + float(coeff.re) * mat * N ** (-len(word) / 2)
-    twice_sz = ops[Z].diagonal()
+    observable = {word: float(coeff.re) * N ** (-len(word) / 2) / 2 ** word.count(Z)
+                  for word, coeff in terms.items()
+                  if word and word.count(PLUS) == word.count(MINUS)}
     num = den = 0.0
-    for value in np.unique(twice_sz):
-        block = np.flatnonzero(twice_sz == value)
-        evals, vecs = scipy.linalg.eigh(h[block][:, block].toarray())
-        weights = np.exp(-evals / float(params.kT))
-        rotated = np.einsum("ji,ji->i", vecs, obs[block][:, block] @ vecs)
-        num += float(np.sum(weights * rotated))
-        den += float(np.sum(weights))
+    for k in range(N + 1):
+        level = range(max(0, 2 * k - N), k + 1)  # a of |a, k - a>; e_k is last
+        norms = np.sqrt([float(math.comb(k, a) * math.comb(N - k, k - a))
+                         for a in level])
+        h = np.zeros((len(level), len(level)))
+        for j, a in enumerate(level):
+            for word in ((PLUS, MINUS), (MINUS, PLUS)):
+                for (x, _), c in spin_core._walk(N, k, word, (a, k - a)).items():
+                    h[x - level.start, j] += c
+        h *= float(params.gamma) / N * np.outer(norms, 1 / norms)
+        obs = np.zeros(len(level))
+        for word, scale in observable.items():
+            for (x, _), c in spin_core._walk(N, k, word, (k, 0)).items():
+                obs[x - level.start] += scale * c
+        evals, vecs = np.linalg.eigh(h)
+        weights = math.comb(N, k) * np.exp(-evals / float(params.kT)) * vecs[-1]
+        num += float(weights @ (vecs.T @ (norms * obs)))
+        den += float(weights @ vecs[-1])
     return num / den + complex(terms.get((), 0)).real
 
 

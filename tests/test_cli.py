@@ -205,13 +205,16 @@ def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
     assert code == 0 and out.strip() == "N=7: 1.85714285714"
 
 
-def test_oracle_refuses_words_beyond_int64(capsys):
-    # 2^8 * 8^32 >= 2^63: the dense products could wrap, so no product is made
-    code, out, err = run(capsys, "oracle", "--expr", "(S+*S-)^16", "--n", "8")
+def test_oracle_refuses_words_beyond_the_work_budget(capsys):
+    # 3^12 words of 12 letters at N = 14: refused before they are expanded
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--expr", "(S+ + S- + Sz)^12", "--n", "14")
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert "resource error" in err and "2^63" in err
-    # 2^8 * 8^18 = 2^62 is inside the bound
-    code, out, _ = run(capsys, "oracle", "--expr", "(S+*S-)^9", "--n", "8")
+    assert err == ("resource error: dense oracle: a predicted 1243571940 letter "
+                   "steps at N=14 exceed the budget of 100000000\n")
+    # a long word is cheap, and integer walks do not wrap
+    code, out, _ = run(capsys, "oracle", "--expr", "(S+*S-)^16", "--n", "8")
     assert code == 0 and out.rstrip().endswith("MATCH")
 
 
@@ -232,7 +235,7 @@ def test_digits_above_the_budget_exit_2_before_any_work(capsys, monkeypatch):
         raise AssertionError("sector or matrix work began")
 
     monkeypatch.setattr(spin_core, "sector_moments", no_work)
-    monkeypatch.setattr(spin_core, "_collective_ops", no_work)
+    monkeypatch.setattr(spin_core, "_letter", no_work)
     for command in ("trace", "verify", "oracle"):
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--expr", "Sz^2", "--n", "4",
@@ -478,7 +481,8 @@ def _modules_after(argvs, package):
 def test_cli_commands_do_not_import_scipy():
     argvs = [["trace", "--expr", "(S+*S- + S-*S+)^2", "--n", "50"],
              ["verify", "--expr", "S+*S-", "--n-list", "50,100"],
-             ["xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-", "--n", "20"]]
+             ["xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-", "--n", "20"],
+             ["oracle", "--expr", "Sz^2", "--n", "4"]]
     assert _modules_after(argvs, "scipy") == "[]"
 
 
@@ -487,23 +491,21 @@ def test_exact_commands_do_not_import_numpy():
              ["verify", "--expr", "S+*S-", "--n-list", "50,100"],
              ["xy", "--gamma", "1", "--kt", "4", "--expr", "S+*S-", "--n", "20"],
              ["normal-order", "--expr", "Sz*Sz*S+*S-"],
-             ["moments", "--max-l", "5"]]
+             ["moments", "--max-l", "5"],
+             ["oracle", "--expr", "Sz^2", "--n", "4"]]
     assert _modules_after(argvs, "numpy") == "[]"
-    oracle = ["oracle", "--expr", "Sz^2", "--n", "4"]
-    assert "'numpy'" in _modules_after(argvs + [oracle], "numpy")
 
 
-def test_oracle_without_numpy_names_the_extra():
-    # an install without the oracle extra: one error line, no traceback
+def test_oracle_runs_without_numpy():
+    # an install without the oracle extra
     proc = _fresh_python(
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from spinboson import cli\n"
-        "sys.exit(cli.main(['oracle', '--expr', 'Sz', '--n', '4']))\n"
+        "sys.exit(cli.main(['oracle', '--expr', '(S+*S- + S-*S+)^3', '--n', '12']))\n"
     )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == ("error: numpy is needed for oracle: "
-                           "pip install 'spinboson[oracle]'\n")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "N=12: engine 5.27777777778  dense 5.27777777778  MATCH\n"
 
 
 def test_xy_does_not_import_mpmath():
@@ -666,10 +668,12 @@ def test_digits_above_28_render_in_full(capsys):
 
 @pytest.mark.parametrize("argv", [("normal-order",), ("oracle", "--n", "2")])
 def test_product_budget_exits_before_expanding(capsys, argv):
-    # 3^14 = 4.8e6 words: each factor is within the budget, their product not
+    # 3^14 = 4.8e6 words: each factor is within the budget, their product not;
+    # the oracle's own work budget refuses them first
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--expr", "(S+ + S- + Sz)^7*(S+ + S- + Sz)^7")
-    assert code == 2 and out == "" and "more than 1000000 terms" in err
+    want = "letter steps" if argv[0] == "oracle" else "more than 1000000 terms"
+    assert code == 2 and out == "" and want in err
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,3 +1,4 @@
+import collections
 import decimal
 import functools
 import itertools
@@ -233,13 +234,24 @@ def test_dense_oracle_cap():
         dense_oracle_trace(15, parse_polynomial("1"))
 
 
-def test_dense_oracle_int64_guard_reads_the_expanded_words():
-    # 2^12 * 12^16 >= 2^63, but the 16-letter words cancel and S+*S- is left
+def test_dense_oracle_work_budget_counts_words_before_they_cancel(monkeypatch):
+    # the words of the tree, counted before expansion: two of 16 letters and
+    # one of 2, so (12 + 1)(2 * 16 * 17 + 2 * 3) = 7150 letter steps, although
+    # the 16-letter words cancel and S+*S- is left
     poly = parse_polynomial("Sz^16 - Sz^16 + S+*S-")
-    assert poly.degree == 16
+    assert spin_core._word_lengths(poly) == {16: 2, 2: 1}
+    monkeypatch.setattr(spin_core, "MAX_ORACLE_WORK", 7150)
     assert dense_oracle_trace(12, poly).exact == normalized_trace(12, poly).exact
-    with pytest.raises(ResourceLimitError, match="2\\^63"):
-        dense_oracle_trace(12, parse_polynomial("Sz^16"))
+    monkeypatch.setattr(spin_core, "MAX_ORACLE_WORK", 7149)
+    with pytest.raises(ResourceLimitError, match="predicted 7150 letter steps"):
+        dense_oracle_trace(12, poly)
+    # it never counts fewer words of a length than the expansion keeps
+    rng = random.Random(5)
+    for _ in range(20):
+        poly = node("power", _random_poly(rng, max_degree=3), rng.randint(1, 3))
+        lengths = collections.Counter(map(len, words(poly)))
+        assert all(c <= spin_core._word_lengths(poly).get(L, 0)
+                   for L, c in lengths.items()), poly
 
 
 def _plain_oracle(N, poly):
@@ -289,85 +301,92 @@ def test_dense_oracle_against_plain_product():
     assert res.sqrt_n != 0
 
 
-def _count_sparse_calls(monkeypatch, N):
-    """Count the products a sparse matrix makes after the collective
-    operators at ``N`` are built: with a dense block, with another sparse
-    matrix, and any transpose or elementwise product."""
-    import scipy.sparse as sp
-
-    spin_core._collective_ops(N)
-    calls = {"sparse @ block": 0, "sparse @ sparse": 0, "transpose": 0,
-             "multiply": 0}
-    for cls in (sp.csr_matrix, sp.csc_matrix):
-        for name in ("__matmul__", "__rmatmul__", "transpose", "multiply"):
-            def counted(self, *args, _original=getattr(cls, name), _name=name,
-                        **kwargs):
-                if _name.endswith("matmul__"):
-                    dense = isinstance(args[0], np.ndarray)
-                    calls["sparse @ block" if dense else "sparse @ sparse"] += 1
-                else:
-                    calls[_name] += 1
-                return _original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, name, counted)
-    return calls
-
-
 def test_dense_oracle_one_walk_per_rotation_class(monkeypatch):
+    calls = []
+    original = spin_core._letter
+    monkeypatch.setattr(spin_core, "_letter",
+                        lambda *args: calls.append(args[2]) or original(*args))
     word = (PLUS, Z, MINUS, MINUS, PLUS)
     poly = _tree({word[i:] + word[:i]: i + 1 for i in range(5)})
     assert len(words(poly)) == 5
-    calls = _count_sparse_calls(monkeypatch, 6)
     res = dense_oracle_trace(6, poly)
-    # one class, least rotation ++z--: its five letters act on the block once
-    assert calls == {"sparse @ block": 5, "sparse @ sparse": 0, "transpose": 0,
-                     "multiply": 0}
+    # one class, least rotation ++z--: its five letters act once in each of
+    # the 7 shells
+    assert calls == list("--z++") * 7
+    assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
+    # three classes of six letters; words with more S- than S+, or fewer,
+    # never come back to e_k and are not walked
+    calls.clear()
+    poly = parse_polynomial("(S+*S- + S-*S+)^3 + S+*S+*S- + Sz*S-")
+    res = dense_oracle_trace(6, poly)
+    assert len(calls) == 3 * 6 * 7
     assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
 
 
-def test_dense_oracle_shares_suffixes(monkeypatch):
-    # three classes, reversed --+-++, -+--++ and -+-+-+: the second shares the
-    # first's last letter -, the third the second's last three -+-, so the
-    # walk takes 6 + 5 + 3 products instead of 18
-    poly = parse_polynomial("(S+*S- + S-*S+)^3")
-    calls = _count_sparse_calls(monkeypatch, 6)
-    res = dense_oracle_trace(6, poly)
-    assert calls == {"sparse @ block": 14, "sparse @ sparse": 0, "transpose": 0,
-                     "multiply": 0}
-    assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
+def _kron_letters(N):
+    """S+, S-, 2Sz on the 2^N space as sums of Kronecker products; bit i of
+    a basis index is 1 when site N - 1 - i is down."""
+    site = {PLUS: [[0, 1], [0, 0]], MINUS: [[0, 0], [1, 0]], Z: [[1, 0], [0, -1]]}
+    return {ch: sum(np.kron(np.kron(np.identity(2**k, np.int64), np.array(op, np.int64)),
+                            np.identity(2 ** (N - k - 1), np.int64))
+                    for k in range(N))
+            for ch, op in site.items()}
 
 
 def test_word_diagonals_are_constant_on_hamming_shells():
     # the premise of the dense oracle: every diagonal element of a word at a
     # basis state depends only on how many of its sites are down
-    import scipy.sparse as sp
-
     for N in range(1, 7):
-        ops = spin_core._collective_ops(N)
+        ops = _kron_letters(N)
         weight = np.array([bin(i).count("1") for i in range(2**N)])
-        shell_start = (1 << weight) - 1  # e_k: the first k sites down
-        products = {(): sp.identity(2**N, np.int64, format="csr")}
+        shell_start = (1 << weight) - 1  # e_k: k sites down
+        products = {(): np.identity(2**N, np.int64)}
         for L in range(1, 6):  # each word's product from its tail's
             for word in itertools.product((PLUS, MINUS, Z), repeat=L):
-                products[word] = spin_core._chain(ops, word[:1], products[word[1:]])
+                products[word] = ops[word[0]] @ products[word[1:]]
         for word, product in products.items():
             diagonal = product.diagonal()
             assert (diagonal == diagonal[shell_start]).all(), (N, word)
 
 
-def test_dense_oracle_at_the_int64_edge(monkeypatch):
-    # 2^8 * 8^18 = 2^62 < 2^63: the longest words the guard admits at N = 8
-    for expr in ("Sz^18", "(S+*Sz*S-)^6", "(S+*S-)^9"):
+def test_dense_oracle_walk_is_the_word_on_the_basis_state():
+    # the reduction of the dense oracle: W e_k, as a 2^N vector, is the
+    # expansion of its walk, sum over (a, b) of its coefficient times every
+    # basis state with a down sites among the k of e_k and b among the others
+    for N in range(1, 7):
+        ops = _kron_letters(N)
+        index = np.arange(2**N)
+        for k in range(N + 1):
+            mask = (1 << k) - 1  # e_k: the k sites of the lowest bits down
+            a = np.array([bin(i & mask).count("1") for i in index])
+            b = np.array([bin(i >> k).count("1") for i in index])
+            vectors = {(): (index == mask).astype(np.int64)}
+            for L in range(1, 6):
+                for word in itertools.product((PLUS, MINUS, Z), repeat=L):
+                    vectors[word] = ops[word[0]] @ vectors[word[1:]]
+                    table = np.zeros((k + 1, N - k + 1), np.int64)
+                    for ab, c in spin_core._walk(N, k, word, (k, 0)).items():
+                        table[ab] = c
+                    assert (vectors[word] == table[a, b]).all(), (N, k, word)
+
+
+def test_dense_oracle_long_words_and_the_work_budget(monkeypatch):
+    # integer walks do not wrap: words of up to 64 letters at N = 14, far past
+    # 2^N * N^L >= 2^63
+    for expr in ("Sz^64", "(S+*Sz*S-)^21", "(S+*S-)^32", "S-^8*Sz^3*S+^8"):
         poly = parse_polynomial(expr)
-        dense, engine = dense_oracle_trace(8, poly), normalized_trace(8, poly)
+        dense, engine = dense_oracle_trace(14, poly), normalized_trace(14, poly)
         assert (dense.exact, dense.sqrt_n) == (engine.exact, engine.sqrt_n), expr
 
     def no_work(*args):
-        raise AssertionError("matrix work began")
+        raise AssertionError("word expansion or walk began")
 
-    monkeypatch.setattr(spin_core, "_collective_ops", no_work)
-    with pytest.raises(ResourceLimitError, match="2\\^63"):
-        dense_oracle_trace(8, parse_polynomial("Sz^19"))
+    monkeypatch.setattr(spin_core, "words", no_work)
+    monkeypatch.setattr(spin_core, "_letter", no_work)
+    # 3^12 words of 12 letters: 15 * 3^12 * 12 * 13 letter steps at N = 14
+    with pytest.raises(ResourceLimitError,
+                       match=f"predicted {15 * 3**12 * 12 * 13} letter steps"):
+        dense_oracle_trace(14, parse_polynomial("(S+ + S- + Sz)^12"))
 
 
 @pytest.mark.parametrize("N", [13, 14])
@@ -378,6 +397,16 @@ def test_engine_equals_oracle_up_to_fourteen_sites(N, expr):
     poly = parse_polynomial(expr)
     engine, dense = normalized_trace(N, poly), dense_oracle_trace(N, poly)
     assert (engine.exact, engine.sqrt_n) == (dense.exact, dense.sqrt_n)
+
+
+def test_engine_equals_oracle_on_random_draws_at_thirteen_and_fourteen_sites():
+    # criterion 5's draws stop at N = 12; the walk costs about as much at the cap
+    rng = random.Random(2024)
+    for _ in range(40):
+        N = rng.randint(13, spin_core.DENSE_ORACLE_CAP)
+        poly = _random_poly(rng)
+        engine, dense = normalized_trace(N, poly), dense_oracle_trace(N, poly)
+        assert (engine.exact, engine.sqrt_n) == (dense.exact, dense.sqrt_n), (N, poly)
 
 
 def test_trace_budget():
@@ -657,33 +686,6 @@ def test_exact_closed_forms_at_ten_million(expr, closed_form):
     assert normalized_trace(N, parse_polynomial(expr)).exact == closed_form(N)
 
 
-def _kron_collective(N, site):
-    """Sum over the N sites of ``site`` in a Kronecker chain of identities."""
-    import scipy.sparse as sp
-
-    eye = sp.identity(2, dtype=np.int64, format="csr")
-    total = sp.csr_matrix((2**N, 2**N), dtype=np.int64)
-    for k in range(N):
-        mat = sp.identity(1, dtype=np.int64, format="csr")
-        for i in range(N):
-            mat = sp.kron(mat, site if i == k else eye, format="csr")
-        total = total + mat
-    return total
-
-
-def test_collective_ops_match_kron_construction():
-    import scipy.sparse as sp
-
-    sites = {PLUS: [[0, 1], [0, 0]], MINUS: [[0, 0], [1, 0]], Z: [[1, 0], [0, -1]]}
-    for N in range(1, 7):
-        ops = spin_core._collective_ops(N)
-        for ch, site in sites.items():
-            want = _kron_collective(N, sp.csr_matrix(np.array(site, np.int64)))
-            assert ops[ch].dtype == np.int64 and ops[ch].shape == want.shape
-            assert (ops[ch] != want).nnz == 0, (N, ch)
-    assert spin_core._collective_ops.cache_info().maxsize == 16
-
-
 def _random_expr(rng, budget):
     """A random expression string with at most ``budget`` letters per term:
     nested powers, unary minus, integer and rational constants."""
@@ -808,7 +810,7 @@ def test_digits_budget_is_checked_before_any_work(monkeypatch):
         raise AssertionError("sector or matrix work began")
 
     monkeypatch.setattr(spin_core, "sector_moments", no_work)
-    monkeypatch.setattr(spin_core, "_collective_ops", no_work)
+    monkeypatch.setattr(spin_core, "_letter", no_work)
     sz = parse_polynomial("Sz^2")
 
     def verify(n, poly, digits):
@@ -821,22 +823,24 @@ def test_digits_budget_is_checked_before_any_work(monkeypatch):
             with pytest.raises(ValueError, match="digits must be >= 1"):
                 trace(4, sz, digits=digits)
 
-    # every refusal of either dense oracle also comes before any matrix work,
-    # and before numpy or scipy is imported
-    for name in ("numpy", "scipy", "scipy.linalg", "scipy.sparse"):
-        monkeypatch.setitem(sys.modules, name, None)
+    # every refusal of either dense oracle also comes before any word
+    # expansion or walk, and before numpy is imported
+    monkeypatch.setattr(spin_core, "words", no_work)
+    monkeypatch.setitem(sys.modules, "numpy", None)
     params = xy.XYParams(Fraction(1), Fraction(4))
-    oracles = ((dense_oracle_trace, spin_core.DENSE_ORACLE_CAP, "Sz^19", 8),
+    oracles = ((dense_oracle_trace, spin_core.DENSE_ORACLE_CAP),
                (functools.partial(xy.spin_thermal_dense_oracle, params),
-                xy.DENSE_ORACLE_CAP, "Sz^15", 12))
-    for oracle, cap, long_word, n in oracles:
+                xy.DENSE_ORACLE_CAP))
+    too_long = parse_polynomial("(S+ + S- + Sz)^12")
+    for oracle, cap in oracles:
         for N in (0, -1):
             with pytest.raises(ValueError, match="N must be >= 1"):
                 oracle(N, sz)
         with pytest.raises(ResourceLimitError, match=f"N <= {cap}; got N={cap + 1}"):
             oracle(cap + 1, sz)
-        with pytest.raises(ResourceLimitError, match="2\\^63"):
-            oracle(n, parse_polynomial(long_word))
+        with pytest.raises(ResourceLimitError, match="exceed the budget of"):
+            oracle(cap, too_long)
+    monkeypatch.setattr(spin_core, "words", words)
     i_number = node("product", node("constant", ComplexRational(0, 1)),
                     node("letter", PLUS), node("letter", MINUS))
     with pytest.raises(ValueError, match="requires real coefficients"):

@@ -151,15 +151,17 @@ def test_spin_thermal_against_dense_oracle():
         spin_thermal_dense_oracle(params, 13, poly)
 
 
-def test_spin_thermal_dense_oracle_refuses_words_beyond_int64():
-    # 2^12 * 12^15 >= 2^63; refused before the Hamiltonian is diagonalized
+def test_spin_thermal_dense_oracle_refuses_words_beyond_the_work_budget():
+    # 3^12 words of 12 letters at N = 12; refused before they are expanded
     params = XYParams(Fraction(1), Fraction(4))
-    with pytest.raises(ResourceLimitError, match="2\\^63"):
-        spin_thermal_dense_oracle(params, 12, parse_polynomial("Sz^15"))
-    # the guard reads the longest expanded word, not the tree's degree of 16
-    poly = parse_polynomial("Sz^16 - Sz^16 + S+*S-")
-    assert spin_thermal_dense_oracle(params, 10, poly) == pytest.approx(
-        spin_thermal_expectation(params, 10, poly), rel=1e-10)
+    with pytest.raises(ResourceLimitError,
+                       match=f"predicted {13 * 3**12 * 12 * 13} letter steps"):
+        spin_thermal_dense_oracle(params, 12, parse_polynomial("(S+ + S- + Sz)^12"))
+    # long words are cheap: 2^12 * 12^16 >= 2^63 does not matter to the walk
+    for expr in ("Sz^16 - Sz^16 + S+*S-", "Sz^16", "S-^6*Sz^4*S+^6"):
+        poly = parse_polynomial(expr)
+        assert spin_thermal_dense_oracle(params, 12, poly) == pytest.approx(
+            spin_thermal_expectation(params, 12, poly), rel=1e-12), expr
 
 
 def test_spin_thermal_dense_oracle_constants_and_imaginary_words():
