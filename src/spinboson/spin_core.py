@@ -18,12 +18,12 @@ those sums.  The exact trace and the XY thermal expectation differ only in
 that weight; the binary64 trace rounds the exact one.  Every site operator
 is traceless, so 2^{-n} tr_n of an L-letter word is a polynomial in n of
 degree <= L/2 for all n >= 1; a^k u^(2i) = (4 S^2)^k (2 Sz)^(2i) gives one of
-degree i + k.  Above ``CROSSOVER_N`` sites the sums are taken at n = 1 ...
-i + k + 2 only, and the exact polynomial through all but the last node, which
-checks it, is evaluated at N.  A dense oracle checks small N from the
-action of the letters on the 2^N basis: every letter commutes with site
-permutations, so it walks one basis state per number of down sites through
-each word, in the span of two-group Dicke sums.
+degree i + k.  Above ``CROSSOVER_N`` sites each monomial's polynomial is
+fitted once per process, from its sums at n = 1 ... i + k + 2, the last of
+which checks it, and evaluated at N in integers.  A dense oracle checks
+small N from the action of the letters on the 2^N basis: every letter
+commutes with site permutations, so it walks one basis state per number of
+down sites through each word, in the span of two-group Dicke sums.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ MAX_ORACLE_WORK = 10**8
 #: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
 MAX_WORD_LETTERS = 64
 #: largest N whose trace sums every sector, at most 8256 cells; above it only
-#: the interpolation nodes n <= MAX_WORD_LETTERS // 2 + 2 are summed
+#: the interpolation nodes n <= MAX_WORD_LETTERS // 2 + 2 are summed, once per key
 CROSSOVER_N = 2 * MAX_WORD_LETTERS
 #: budget on the estimated number of terms in the word expansion of a product
-#: or power
-MAX_POWER_TERMS = 10**6
+#: or power, about 6 s at most: normal-order of (S+ + S- + Sz)^10, 59049
+#: words, takes 3.7 s, ~60 us per word (2-vCPU VM, Python 3.11)
+MAX_POWER_TERMS = 10**5
 #: budget on shifts x letter counts x (a, u) monomials of an expression, about
 #: 4 s of shift algebra at most (1-2 us per entry on a 2-vCPU VM, Python 3.11)
 MAX_ALGEBRA_CELLS = 2 * 10**6
@@ -384,8 +385,8 @@ def sector_moments(N: int, keys, weights, rhos) -> list:
     the sectors.  The arithmetic is that of the weights and rhos: exact int
     multiplicities and ones for traces (there are no binary64 weights; the
     float trace rounds the exact one), or ``decimal.Decimal`` Boltzmann
-    factors for XY.  ``keys`` are sorted with (0, 0) first, as
-    ``monomial_rows`` makes them, so ``sums[0]`` is the total weight.
+    factors for XY.  ``keys`` are sorted; with (0, 0) first, as
+    ``monomial_rows`` makes them, ``sums[0]`` is the total weight.
     """
     moments = [0] * (keys[-1][0] + 1)  # moments[i]: sum of rho(u) u^(2i)
     top = max(k for _, k in keys)
@@ -476,32 +477,46 @@ def _node_values(n: int, keys, rows) -> list:
     return [Fraction(sum(c * s for c, s in zip(row, sums)), sums[0]) for row in rows]
 
 
-def _lagrange(count: int, x: int) -> list:
-    """Weights w with sum_i w_i p(i) = p(x), i = 1 ... count, for every
-    polynomial p of degree < count."""
-    nodes = range(1, count + 1)
-    return [Fraction(math.prod(x - j for j in nodes if j != i),
-                     math.prod(i - j for j in nodes if j != i)) for i in nodes]
+#: {(i, k): Newton forward differences at n = 1, of order 0 ... i + k, of
+#: 2^{-n} tr_n a^k u^(2i)}, each an integer over 2^_FIT_BITS, as node values
+#: at n <= _FIT_BITS are.  Only checked fits are stored, each written whole;
+#: i + k <= MAX_WORD_LETTERS // 2 bounds it to 561 keys.
+_fits: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+_FIT_BITS = MAX_WORD_LETTERS // 2 + 2
 
 
 def _diagonal_values(N: int, diagonals: Sequence[_Poly2]) -> list:
     """Each diagonal's sum over the cells of N sites, over 2^N, from one
     ``monomial_rows`` call: every sector is summed up to ``CROSSOVER_N``
-    sites.  Above it, 2^{-n} tr a^k u^(2i) is a polynomial in n of degree
-    i + k, so each value is fixed by the nodes n = 1 ... d + 1, d the largest
-    i + k, and evaluated at N; a mismatch at the check node n = d + 2 raises
-    ArithmeticError."""
+    sites.  Above it, P(n) = 2^{-n} tr_n a^k u^(2i) is a polynomial in n of
+    degree d = i + k, fitted once per key and process: the keys missing
+    from ``_fits`` are summed in one set of node passes, n = 1 ... their
+    largest d + 2, and are stored once each key's difference of order d + 1
+    (the check node) is 0; otherwise ArithmeticError is raised and none is
+    stored.  Then P(N) = sum_j C(N - 1, j) Delta^j P(1), in integers."""
     keys, rows = monomial_rows(diagonals)
     if N <= CROSSOVER_N:
         return _node_values(N, keys, rows)
-    degree, out = max(i + k for i, k in keys), []
-    at_check, at_n = _lagrange(degree + 1, degree + 2), _lagrange(degree + 1, N)
-    for *fit, check in zip(*(_node_values(n, keys, rows) for n in range(1, degree + 3))):
-        if sum(w * v for w, v in zip(at_check, fit)) != check:
-            raise ArithmeticError(
-                f"trace polynomial of degree {degree} misses its check node")
-        out.append(sum(w * v for w, v in zip(at_n, fit)))
-    return out
+    if missing := [key for key in keys if key not in _fits]:
+        nodes = [sector_moments(n, missing, (s.multiplicity for s in irrep_sectors(n)),
+                                itertools.repeat(1))
+                 for n in range(1, max(i + k for i, k in missing) + 3)]
+        fitted = {}
+        for (i, k), column in zip(missing, zip(*nodes)):
+            diffs, row = [], [s << (_FIT_BITS - n) for n, s in enumerate(column[:i + k + 2], 1)]
+            while row:
+                diffs.append(row[0])
+                row = [b - a for a, b in zip(row, row[1:])]
+            if diffs.pop():
+                raise ArithmeticError(
+                    f"trace polynomial of degree {i + k} misses its check node")
+            fitted[i, k] = tuple(diffs)
+        _fits.update(fitted)
+    binomials = [1]  # C(N - 1, j)
+    for j in range(max(i + k for i, k in keys)):
+        binomials.append(binomials[-1] * (N - 1 - j) // (j + 1))
+    at_n = [sum(b * d for b, d in zip(binomials, _fits[key])) for key in keys]
+    return [Fraction(sum(c * v for c, v in zip(row, at_n)), 1 << _FIT_BITS) for row in rows]
 
 
 def normalized_trace(N: int, poly: SpinPolynomial, digits: int = 12,
@@ -509,10 +524,10 @@ def normalized_trace(N: int, poly: SpinPolynomial, digits: int = 12,
     """Exact 2^{-N} trace of a polynomial with 1/sqrt(N) per letter.
 
     Each letter count's diagonal is summed over the N + 1 sectors up to
-    ``CROSSOVER_N`` sites; above it the same sums are taken at a few small n
-    and interpolated in n.  Set ``use_float`` to round the exact value to
-    binary64; the result is then labeled with ``float_path=True`` and
-    ``exact`` holds the rounding.
+    ``CROSSOVER_N`` sites; above it each monomial's exact polynomial in n,
+    fitted once per process from a few small n, is evaluated at N.  Set
+    ``use_float`` to round the exact value to binary64; the result is then
+    labeled with ``float_path=True`` and ``exact`` holds the rounding.
     """
     check_digits(digits)
     check_trace_budget(N, poly)

@@ -416,8 +416,12 @@ def test_trace_budget():
 
 def test_power_budget_rejects_before_expanding():
     # (S+ + S-)^40 would have 2^40 words; none of them is built
-    with pytest.raises(ResourceLimitError, match="more than 1000000 terms"):
+    with pytest.raises(ResourceLimitError, match="more than 100000 terms"):
         words(parse_polynomial("(S+ + S-)^40"))
+    # (S+ + S- + Sz)^10, 59049 words, is the largest power of three letters admitted
+    three = words(parse_polynomial("S+ + S- + Sz"))
+    assert (spin_core._terms_estimate([three] * 10) <= spin_core.MAX_POWER_TERMS
+            < spin_core._terms_estimate([three] * 11))
     # t^k is large, but one letter bounds the result to 31 words
     assert len(words(parse_polynomial("(1 + Sz)^30"))) == 31
 
@@ -611,17 +615,42 @@ def test_interpolated_trace_against_dense_oracle(monkeypatch):
 
 @pytest.mark.parametrize("node", [1, 2, 3])
 def test_corrupted_node_raises(monkeypatch, capsys, node):
-    original = spin_core._node_values
+    monkeypatch.setattr(spin_core, "_fits", {})
+    original = spin_core.sector_moments
 
-    def corrupted(n, keys, rows):
-        values = original(n, keys, rows)
-        return [v + 1 for v in values] if n == node else values
+    def corrupted(n, keys, weights, rhos):
+        sums = original(n, keys, weights, rhos)
+        return [s + 1 for s in sums] if n == node else sums
 
-    monkeypatch.setattr(spin_core, "_node_values", corrupted)
+    monkeypatch.setattr(spin_core, "sector_moments", corrupted)
     with pytest.raises(ArithmeticError, match="check node"):
         normalized_trace(1000, parse_polynomial("Sz^2"))
     assert main(["trace", "--expr", "Sz^2", "--n", "1000"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # the failed fits stored nothing, so the next call fits again, exactly
+    assert spin_core._fits == {}
+    monkeypatch.setattr(spin_core, "sector_moments", original)
+    assert normalized_trace(1000, parse_polynomial("Sz^2")).exact == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("fill", ["ascending", "descending", "superset"])
+def test_fitted_monomials_equal_direct_sums(monkeypatch, fill):
+    monkeypatch.setattr(spin_core, "_fits", {})
+    keys = [(i, k) for i in range(9) for k in range(9 - i)]  # i + k <= 8, sorted
+
+    def monomial(i, k):
+        return {(k, 2 * i): 1}
+
+    if fill == "superset":
+        spin_core._diagonal_values(129, [monomial(i, k) for i in range(11)
+                                         for k in range(11 - i)])
+    for key in keys[::-1] if fill == "descending" else keys:
+        spin_core._diagonal_values(129, [monomial(*key)])
+    for N in (129, 1000, 3001):
+        direct = sector_moments(N, keys, (s.multiplicity for s in irrep_sectors(N)),
+                                itertools.repeat(1))
+        fitted = spin_core._diagonal_values(N, [monomial(*key) for key in keys])
+        assert fitted == [Fraction(s, 2**N) for s in direct], (fill, N)
 
 
 def test_monomial_rows_drop_odd_powers_of_u():
@@ -670,14 +699,13 @@ def test_multiplicity_calls_do_not_grow_with_n(monkeypatch):
     original = spin_core.irrep_multiplicity
     monkeypatch.setattr(spin_core, "irrep_multiplicity",
                         lambda N, tj: calls.append(N) or original(N, tj))
+    monkeypatch.setattr(spin_core, "_fits", {})
     poly = parse_polynomial("(S+*S- + S-*S+)^5")
-    counts = []
-    for N in (10**4, 10**6):
-        calls.clear()
-        normalized_trace(N, poly)
-        counts.append(len(calls))
-        assert max(calls) == poly.degree // 2 + 2
-    assert counts[0] == counts[1]
+    normalized_trace(10**4, poly)  # fits every monomial of poly, at small n only
+    assert max(calls) == poly.degree // 2 + 2
+    calls.clear()
+    normalized_trace(10**6, poly)
+    assert calls == []
 
 
 @pytest.mark.parametrize("expr, closed_form", CLOSED_FORMS)
