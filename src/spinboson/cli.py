@@ -141,10 +141,14 @@ def _emit(args, inputs: dict, results, lines, rows) -> None:
         sys.stdout.write(out)
 
 
-def _per_n(args, step, **inputs):
+def _per_n(args, admit, step, **inputs):
     """A command's output from ``step(n)`` -> (text line, row) for each
-    requested N; ``inputs`` follow the expression and the N values."""
+    requested N, once ``--digits`` and ``admit(n)`` have passed for every N;
+    ``inputs`` follow the expression and the N values."""
     n_values = _require(args, "n")
+    spin_core.check_digits(args.digits)
+    for n in n_values:
+        admit(n)
     lines, rows = zip(*map(step, n_values))
     return {"expr": args.expr, "N": n_values, **inputs}, rows, lines, rows
 
@@ -160,7 +164,8 @@ def _cmd_trace(args):
         return (f"N={n}: {res.decimal}{tag}",
                 {"N": n, "value": res.decimal, "float_path": res.float_path})
 
-    return _per_n(args, step, digits=args.digits, float=args.float_path)
+    return _per_n(args, lambda n: spin_core.check_trace_budget(n, expr), step,
+                  digits=args.digits, float=args.float_path)
 
 
 def _cmd_moments(args):
@@ -266,7 +271,8 @@ def _cmd_oracle(args):
                 {"N": n, "engine": engine.decimal, "dense": dense.decimal,
                  "match": True})
 
-    return _per_n(args, step)
+    return _per_n(args, lambda n: spin_core.check_dense_budget(
+        n, expr, spin_core.DENSE_ORACLE_CAP), step)
 
 
 def _require(args, name):

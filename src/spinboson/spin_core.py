@@ -22,8 +22,8 @@ degree i + k.  Above ``CROSSOVER_N`` sites each monomial's polynomial is
 fitted once per process, from its sums at n = 1 ... i + k + 2, the last of
 which checks it, and evaluated at N in integers.  A dense oracle checks
 small N from the action of the letters on the 2^N basis: every letter
-commutes with site permutations, so it walks one basis state per number of
-down sites through each word, in the span of two-group Dicke sums.
+commutes with site permutations, so it walks the expression tree on one
+basis state per number of down sites, in the span of two-group Dicke sums.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ SpinWord = Tuple[str, ...]
 
 #: largest N of the dense trace oracle
 DENSE_ORACLE_CAP = 14
-#: budget on a dense oracle's letter steps, L (L + 1) (N + 1) per word of L
-#: letters (``_dense_words``); (S+ + S- + Sz)^10 at N = 14, 9.7e7 steps,
-#: takes about 3 s, mostly its word expansion (2-vCPU VM, Python 3.11)
-MAX_ORACLE_WORK = 10**8
 #: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
 MAX_WORD_LETTERS = 64
 #: largest N whose trace sums every sector, at most 8256 cells; above it only
@@ -556,94 +552,88 @@ def _normalized_trace_float(N: int, exact, sqrt_n, digits: int) -> TraceResult:
 # ---------------------------------------------------------------------------
 
 
-def _word_lengths(poly: SpinPolynomial) -> Dict[int, int]:
-    """{L: number of L-letter words} in the expansion of ``poly``, counted on
-    the tree without multiplying it out and without cancellation, so at
-    least the number of words ``words(poly)`` keeps."""
-    kind, args = poly.kind, poly.args
-    if kind in ("letter", "constant"):
-        return {poly.degree: 1}
-    if kind == "sum":
-        return functools.reduce(_add_words, map(_word_lengths, args))
-    factors = ([_word_lengths(args[0])] * args[1] if kind == "power"
-               else list(map(_word_lengths, args)))
-    return functools.reduce(_multiply_words, factors, {0: 1})
-
-
-def _dense_words(N: int, poly: SpinPolynomial, cap: int) -> dict:
-    """The expanded words of ``poly`` for a dense oracle at N sites, refused
-    before they are expanded if N < 1, N > ``cap``, or the oracle's work is
-    above ``MAX_ORACLE_WORK``.  The work of an L-letter word is L (L + 1)
-    (N + 1): its walk applies L letters in each of the N + 1 shells, to at
-    most L + 1 states each; the words are counted by ``_word_lengths``."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+def check_dense_budget(N: int, poly: SpinPolynomial, cap: int) -> None:
+    """Refuse a dense oracle of ``poly`` at N sites before any walk: what
+    ``check_trace_budget`` refuses, then N above the oracle's ``cap``."""
+    check_trace_budget(N, poly)
     if N > cap:
         raise ResourceLimitError(f"dense oracle supports N <= {cap}; got N={N}")
-    work = (N + 1) * sum(c * L * (L + 1) for L, c in _word_lengths(poly).items())
-    if work > MAX_ORACLE_WORK:
-        raise ResourceLimitError(f"dense oracle: a predicted {work} letter steps "
-                                 f"at N={N} exceed the budget of {MAX_ORACLE_WORK}")
-    return words(poly)
 
 
 def _letter(N: int, k: int, ch: str, state: dict) -> dict:
-    """One letter on a vector of shell k, {(a, b): coefficient of |a, b>}.
-    |a, b> is the sum of the basis states with a of the first k sites and b
-    of the other N - k down, and the letters map these sums to each other:
+    """Twice one letter on a vector of shell k, {(L, imaginary, a, b):
+    coefficient of |a, b>}, with L one higher.  |a, b> is the sum of the
+    basis states with a of the first k sites and b of the other N - k down,
+    and the letters map these sums to each other:
     S+|a, b> = (k - a + 1)|a - 1, b> + (N - k - b + 1)|a, b - 1>,
     S-|a, b> = (a + 1)|a + 1, b> + (b + 1)|a, b + 1> and
     2Sz|a, b> = (N - 2a - 2b)|a, b>."""
-    out: Dict[Tuple[int, int], int] = {}
-    for (a, b), c in state.items():
+    out: Dict[Tuple[int, int, int, int], int] = {}
+    for (L, i, a, b), c in state.items():
         if ch == Z:
             steps = (((a, b), N - 2 * (a + b)),)
         elif ch == PLUS:
-            steps = (((a - 1, b), k - a + 1), ((a, b - 1), N - k - b + 1))
+            steps = (((a - 1, b), 2 * (k - a + 1)), ((a, b - 1), 2 * (N - k - b + 1)))
         else:
-            steps = (((a + 1, b), a + 1), ((a, b + 1), b + 1))
+            steps = (((a + 1, b), 2 * (a + 1)), ((a, b + 1), 2 * (b + 1)))
         for (x, y), m in steps:
             if 0 <= x <= k and 0 <= y <= N - k and m:
-                out[x, y] = out.get((x, y), 0) + m * c
+                out[L + 1, i, x, y] = out.get((L + 1, i, x, y), 0) + m * c
     return out
 
 
-def _walk(N: int, k: int, letters: Sequence[str], start: Tuple[int, int]) -> dict:
-    """The integer vector of ``letters``, applied right to left, times the
-    sum |start> of shell k; see ``_letter``."""
-    state = {start: 1}
-    for ch in reversed(letters):
-        state = _letter(N, k, ch, state)
-    return state
+def _shell_apply(N: int, k: int, expr: SpinPolynomial, state: dict) -> dict:
+    """den times ``expr`` applied to a vector of shell k (see ``_letter``),
+    with each L-letter part of it also times 2^L, in Python integers: a
+    constant multiplies by the Gaussian integer den c, a sum adds its terms,
+    each times den / its den, and a product applies its factors right to
+    left, a power its base as often as its exponent."""
+    kind, args = expr.kind, expr.args
+    if kind == "letter":
+        return _letter(N, k, args[0], state)
+    if kind in ("product", "power"):
+        for f in reversed(args) if kind == "product" else itertools.repeat(*args):
+            state = _shell_apply(N, k, f, state)
+        return state
+    if kind == "constant":
+        re, im = (p.numerator * expr.den // p.denominator for p in (args[0].re, args[0].im))
+        times_i = {(L, 1 - i, a, b): -v if i else v for (L, i, a, b), v in state.items()}
+        parts = ((re, state), (im, times_i))
+    else:  # a sum
+        parts = ((expr.den // t.den, _shell_apply(N, k, t, state)) for t in args)
+    out: Dict[Tuple[int, int, int, int], int] = {}
+    for scale, vector in parts:
+        for key, v in vector.items():
+            out[key] = out.get(key, 0) + scale * v
+    return {key: v for key, v in out.items() if v}
 
 
 def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceResult:
     """Independent trace from the action of the letters on the 2^N basis.
 
-    Every letter commutes with the site permutations, so a word's diagonal
-    element at a basis state depends only on its number k of down sites: the
-    trace is sum_k C(N, k) <e_k|W|e_k>, with e_k the state whose first k
-    sites are down.  Permuting the first k sites, or the last N - k, fixes
-    e_k, so W e_k stays in the span of the sums |a, b> of ``_letter``, where
-    e_k = |k, 0> is a single state; <e_k|W|e_k> is the coefficient of |k, 0>
-    in W|k, 0>, exact in Python integers (2Sz keeps every entry integral).
-    S- raises a + b by one, S+ lowers it and 2Sz keeps it, so only words with
-    as many S- as S+ come back to |k, 0>.  A trace is invariant under cyclic
-    rotation, so each rotation class is walked once, from its least rotation.
-    Refuses digits below 1 or above ``MAX_DIGITS``, then what ``_dense_words``
-    refuses with the cap ``DENSE_ORACLE_CAP``, before any walk.
+    Every letter commutes with the site permutations, so the diagonal element
+    of ``poly`` at a basis state depends only on its number k of down sites:
+    the trace is sum_k C(N, k) <e_k|poly|e_k>, with e_k the state whose first
+    k sites are down.  Permuting the first k sites, or the last N - k, fixes
+    e_k, so poly e_k stays in the span of the sums |a, b> of ``_letter``,
+    where e_k = |k, 0> is a single state; ``_shell_apply`` walks the tree on
+    it, and <e_k|poly|e_k> is the coefficient of |k, 0>, exact in Python
+    integers.  Refuses digits below 1 or above ``MAX_DIGITS``, then what
+    ``check_dense_budget`` refuses with the cap ``DENSE_ORACLE_CAP``, before
+    any walk.
     """
     check_digits(digits)
-    classes: Dict[SpinWord, ComplexRational] = {}
-    for word, coeff in _dense_words(N, poly, DENSE_ORACLE_CAP).items():
-        if word.count(PLUS) == word.count(MINUS):
-            key = min(word[i:] + word[:i] for i in range(len(word))) if word else word
-            classes[key] = classes.get(key, 0) + coeff
-    parts = [ComplexRational(0), ComplexRational(0)]  # rational, sqrt(N)
-    for key, coeff in classes.items():
-        trace = sum(math.comb(N, k) * _walk(N, k, key, (k, 0)).get((k, 0), 0)
-                    for k in range(N + 1))
-        divisor, radical = letter_scale(N, len(key))
-        parts[radical] += coeff * Fraction(trace, 2 ** key.count(Z) * 2**N * divisor)
-    exact, sqrt_n = parts
+    check_dense_budget(N, poly, DENSE_ORACLE_CAP)
+    traces: Dict[Tuple[int, int], int] = {}  # (L, imaginary): sum over shells
+    binomial = 1  # C(N, k)
+    for k in range(N + 1):
+        for (L, i, a, b), c in _shell_apply(N, k, poly, {(0, 0, k, 0): 1}).items():
+            if (a, b) == (k, 0):
+                traces[L, i] = traces.get((L, i), 0) + binomial * c
+        binomial = binomial * (N - k) // (k + 1)
+    parts = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
+    for (L, i), trace in traces.items():
+        divisor, radical = letter_scale(N, L)
+        parts[radical][i] += Fraction(trace, poly.den * 2**L * 2**N * divisor)
+    exact, sqrt_n = (ComplexRational(*p) for p in parts)
     return TraceResult(N, exact, sqrt_n, _render_decimal(N, exact, sqrt_n, digits))

@@ -35,7 +35,7 @@ from typing import List, Tuple
 from . import spin_core
 from .boson import NormalForm
 from .rationals import ComplexRational
-from .spin_core import MINUS, PLUS, SpinPolynomial, Z
+from .spin_core import MINUS, PLUS, SpinPolynomial
 from .thermal import THEOREM_STATE, ThermalState, thermal_expect
 
 #: decimal digits of the first sum in ``spin_thermal_expectation``
@@ -204,47 +204,49 @@ def spin_thermal_dense_oracle(
     """Dense check of the finite-N thermal expectation from the action of the
     letters on the 2^N basis.
 
-    e^{-beta H} W is a function of collective letters, so its trace is
-    sum_k C(N, k) <e_k|e^{-beta H} W|e_k>, as in ``dense_oracle_trace``.  H
-    keeps the number of down sites, so in shell k it acts on the sums
-    |a, k - a> only, the level of e_k = |k, 0>; the walk of ``_letter``
-    gives H and W e_k there, each sum divided by its norm
-    sqrt(C(k, a) C(N - k, k - a)) makes H symmetric, and one ``eigh`` per
-    shell gives the Boltzmann factors.  Words with unequal numbers of S+ and
-    S- leave that level and add nothing.  Before any walk the trace oracle's
-    admission, capped at ``DENSE_ORACLE_CAP``, refuses N below 1 or above the
-    cap and words beyond its work budget, and any imaginary coefficient is
-    refused: stricter than ``spin_thermal_expectation``, which refuses only
-    an imaginary diagonal, so it accepts i*S+ and this does not.
+    e^{-beta H} poly is a function of collective letters, so its trace is
+    sum_k C(N, k) <e_k|e^{-beta H} poly|e_k>, as in ``dense_oracle_trace``.
+    H keeps the number of down sites, so in shell k it acts on the sums
+    |a, k - a> only, the level of e_k = |k, 0>; ``_shell_apply`` walks the
+    tree of S+*S- + S-*S+ there for H, and the tree of ``poly`` on e_k.  Each
+    sum divided by its norm sqrt(C(k, a) C(N - k, k - a)) makes H symmetric,
+    and one ``eigh`` per shell gives the Boltzmann factors.  Before any walk
+    ``check_dense_budget`` refuses what it refuses with the cap
+    ``DENSE_ORACLE_CAP``; an imaginary entry left on the level of some e_k
+    is refused as ``spin_thermal_expectation`` refuses an imaginary diagonal.
     """
-    terms = spin_core._dense_words(N, poly, DENSE_ORACLE_CAP)
-    if not all(coeff.is_real for coeff in terms.values()):
-        raise ValueError("thermal expectation requires real coefficients")
+    spin_core.check_dense_budget(N, poly, DENSE_ORACLE_CAP)
+    plus, minus = spin_core.node("letter", PLUS), spin_core.node("letter", MINUS)
+    h_tree = spin_core.node("sum", spin_core.node("product", plus, minus),
+                            spin_core.node("product", minus, plus))
+    # a of |a, k - a> per shell; e_k = |k, 0> is last
+    levels = [range(max(0, 2 * k - N), k + 1) for k in range(N + 1)]
+    observed = []  # per shell, the coefficients of |a, k - a> in poly e_k
+    for k, level in enumerate(levels):
+        obs = [0.0] * len(level)
+        for (L, i, a, b), c in spin_core._shell_apply(N, k, poly, {(0, 0, k, 0): 1}).items():
+            if a + b == k:
+                if i:
+                    raise ValueError("thermal expectation requires real coefficients")
+                obs[a - level.start] += c * N ** (-L / 2) / (2**L * poly.den)
+        observed.append(obs)
     import numpy as np
 
-    observable = {word: float(coeff.re) * N ** (-len(word) / 2) / 2 ** word.count(Z)
-                  for word, coeff in terms.items()
-                  if word and word.count(PLUS) == word.count(MINUS)}
     num = den = 0.0
-    for k in range(N + 1):
-        level = range(max(0, 2 * k - N), k + 1)  # a of |a, k - a>; e_k is last
+    for k, (level, obs) in enumerate(zip(levels, observed)):
         norms = np.sqrt([float(math.comb(k, a) * math.comb(N - k, k - a))
                          for a in level])
         h = np.zeros((len(level), len(level)))
         for j, a in enumerate(level):
-            for word in ((PLUS, MINUS), (MINUS, PLUS)):
-                for (x, _), c in spin_core._walk(N, k, word, (a, k - a)).items():
-                    h[x - level.start, j] += c
+            for (_, _, x, _), c in spin_core._shell_apply(
+                    N, k, h_tree, {(0, 0, a, k - a): 1}).items():
+                h[x - level.start, j] += c / 4  # twice each of two letters
         h *= float(params.gamma) / N * np.outer(norms, 1 / norms)
-        obs = np.zeros(len(level))
-        for word, scale in observable.items():
-            for (x, _), c in spin_core._walk(N, k, word, (k, 0)).items():
-                obs[x - level.start] += scale * c
         evals, vecs = np.linalg.eigh(h)
         weights = math.comb(N, k) * np.exp(-evals / float(params.kT)) * vecs[-1]
-        num += float(weights @ (vecs.T @ (norms * obs)))
+        num += float(weights @ (vecs.T @ (norms * np.array(obs))))
         den += float(weights @ vecs[-1])
-    return num / den + complex(terms.get((), 0)).real
+    return num / den
 
 
 def boson_thermal_expectation(params: XYParams, form: NormalForm) -> Fraction:

@@ -206,16 +206,34 @@ def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
 
 
 def test_oracle_refuses_words_beyond_the_work_budget(capsys):
-    # 3^12 words of 12 letters at N = 14: refused before they are expanded
+    # the oracle's work is bounded by the engine's budget, refused at once
     start = time.perf_counter()
-    code, out, err = run(capsys, "oracle", "--expr", "(S+ + S- + Sz)^12", "--n", "14")
+    code, out, err = run(capsys, "oracle", "--expr", "(S+ + S- + Sz + 1)^64", "--n", "14")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert err == ("resource error: dense oracle: a predicted 1243571940 letter "
-                   "steps at N=14 exceed the budget of 100000000\n")
+    assert err == ("resource error: a predicted 17985825 operator entries "
+                   "exceed the budget of 2000000\n")
+    # 3^12 words of 12 letters: the walk never expands them
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "oracle", "--expr", "(S+ + S- + Sz)^12", "--n", "14")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.rstrip().endswith("MATCH")
     # a long word is cheap, and integer walks do not wrap
     code, out, _ = run(capsys, "oracle", "--expr", "(S+*S-)^16", "--n", "8")
     assert code == 0 and out.rstrip().endswith("MATCH")
+
+
+def test_every_n_is_admitted_before_the_first_is_computed(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("sector or walk work began")
+
+    monkeypatch.setattr(spin_core, "sector_moments", no_work)
+    monkeypatch.setattr(spin_core, "_shell_apply", no_work)
+    code, out, err = run(capsys, "trace", "--expr", "Sz^2", "--n", "4,0")
+    assert code == 1 and out == "" and err == "error: N must be >= 1\n"
+    code, out, err = run(capsys, "oracle", "--expr", "Sz^2", "--n", "4,15")
+    assert code == 2 and out == ""
+    assert err == "resource error: dense oracle supports N <= 14; got N=15\n"
 
 
 def test_oracle_cap_is_fixed(tmp_path, capsys):
@@ -669,11 +687,13 @@ def test_digits_above_28_render_in_full(capsys):
 @pytest.mark.parametrize("argv", [("normal-order",), ("oracle", "--n", "2")])
 def test_product_budget_exits_before_expanding(capsys, argv):
     # 3^14 = 4.8e6 words: each factor is within the budget, their product not;
-    # the oracle's own work budget refuses them first
+    # the oracle never expands words, and matches the engine
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--expr", "(S+ + S- + Sz)^7*(S+ + S- + Sz)^7")
-    want = "letter steps" if argv[0] == "oracle" else "more than 100000 terms"
-    assert code == 2 and out == "" and want in err
+    if argv[0] == "oracle":
+        assert code == 0 and out == "N=2: engine 305.17578125  dense 305.17578125  MATCH\n"
+    else:
+        assert code == 2 and out == "" and "more than 100000 terms" in err
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,10 +1,10 @@
-import collections
 import decimal
 import functools
 import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -235,23 +235,19 @@ def test_dense_oracle_cap():
 
 
 def test_dense_oracle_work_budget_counts_words_before_they_cancel(monkeypatch):
-    # the words of the tree, counted before expansion: two of 16 letters and
-    # one of 2, so (12 + 1)(2 * 16 * 17 + 2 * 3) = 7150 letter steps, although
-    # the 16-letter words cancel and S+*S- is left
+    # both oracles take the engine's budget, which reads the tree: the 16
+    # letters of Sz^16 count although they cancel and S+*S- is left; shift 0
+    # only, 2 ... 16 letters, (16 // 2 + 1)(16 + 1) monomials, 2295 entries
     poly = parse_polynomial("Sz^16 - Sz^16 + S+*S-")
-    assert spin_core._word_lengths(poly) == {16: 2, 2: 1}
-    monkeypatch.setattr(spin_core, "MAX_ORACLE_WORK", 7150)
+    params = xy.XYParams(Fraction(1), Fraction(4))
+    monkeypatch.setattr(spin_core, "MAX_ALGEBRA_CELLS", 2295)
     assert dense_oracle_trace(12, poly).exact == normalized_trace(12, poly).exact
-    monkeypatch.setattr(spin_core, "MAX_ORACLE_WORK", 7149)
-    with pytest.raises(ResourceLimitError, match="predicted 7150 letter steps"):
-        dense_oracle_trace(12, poly)
-    # it never counts fewer words of a length than the expansion keeps
-    rng = random.Random(5)
-    for _ in range(20):
-        poly = node("power", _random_poly(rng, max_degree=3), rng.randint(1, 3))
-        lengths = collections.Counter(map(len, words(poly)))
-        assert all(c <= spin_core._word_lengths(poly).get(L, 0)
-                   for L, c in lengths.items()), poly
+    assert xy.spin_thermal_dense_oracle(params, 12, poly) == pytest.approx(
+        xy.spin_thermal_expectation(params, 12, poly), rel=1e-12)
+    monkeypatch.setattr(spin_core, "MAX_ALGEBRA_CELLS", 2294)
+    for oracle in (dense_oracle_trace, functools.partial(xy.spin_thermal_dense_oracle, params)):
+        with pytest.raises(ResourceLimitError, match="predicted 2295 operator entries"):
+            oracle(12, poly)
 
 
 def _plain_oracle(N, poly):
@@ -301,25 +297,24 @@ def test_dense_oracle_against_plain_product():
     assert res.sqrt_n != 0
 
 
-def test_dense_oracle_one_walk_per_rotation_class(monkeypatch):
+def test_dense_oracle_letter_applications_per_shell(monkeypatch):
+    # the tree is walked as written, never expanded into words: h^3 applies
+    # its base's four letters three times in each of the N + 1 shells, where
+    # its 8 words of 6 letters would take 48
     calls = []
     original = spin_core._letter
     monkeypatch.setattr(spin_core, "_letter",
                         lambda *args: calls.append(args[2]) or original(*args))
-    word = (PLUS, Z, MINUS, MINUS, PLUS)
-    poly = _tree({word[i:] + word[:i]: i + 1 for i in range(5)})
-    assert len(words(poly)) == 5
+    poly = parse_polynomial("(S+*S- + S-*S+)^3")
+    assert len(words(poly)) == 8
     res = dense_oracle_trace(6, poly)
-    # one class, least rotation ++z--: its five letters act once in each of
-    # the 7 shells
-    assert calls == list("--z++") * 7
+    assert calls == list("-++-") * 3 * 7  # each product right to left
     assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
-    # three classes of six letters; words with more S- than S+, or fewer,
-    # never come back to e_k and are not walked
+    # a power of a sum of letters: one letter per term and factor
     calls.clear()
-    poly = parse_polynomial("(S+*S- + S-*S+)^3 + S+*S+*S- + Sz*S-")
+    poly = parse_polynomial("(S+ + S- + Sz)^4 + Sz*S-")
     res = dense_oracle_trace(6, poly)
-    assert len(calls) == 3 * 6 * 7
+    assert len(calls) == (3 * 4 + 2) * 7
     assert (res.exact, res.sqrt_n) == _plain_oracle(6, poly)
 
 
@@ -351,8 +346,9 @@ def test_word_diagonals_are_constant_on_hamming_shells():
 
 def test_dense_oracle_walk_is_the_word_on_the_basis_state():
     # the reduction of the dense oracle: W e_k, as a 2^N vector, is the
-    # expansion of its walk, sum over (a, b) of its coefficient times every
-    # basis state with a down sites among the k of e_k and b among the others
+    # expansion of the walk of the word's tree, sum over (a, b) of its
+    # coefficient times every basis state with a down sites among the k of
+    # e_k and b among the others
     for N in range(1, 7):
         ops = _kron_letters(N)
         index = np.arange(2**N)
@@ -364,10 +360,14 @@ def test_dense_oracle_walk_is_the_word_on_the_basis_state():
             for L in range(1, 6):
                 for word in itertools.product((PLUS, MINUS, Z), repeat=L):
                     vectors[word] = ops[word[0]] @ vectors[word[1:]]
+                    tree = node("product", *(node("letter", ch) for ch in word))
                     table = np.zeros((k + 1, N - k + 1), np.int64)
-                    for ab, c in spin_core._walk(N, k, word, (k, 0)).items():
-                        table[ab] = c
-                    assert (vectors[word] == table[a, b]).all(), (N, k, word)
+                    walked = spin_core._shell_apply(N, k, tree, {(0, 0, k, 0): 1})
+                    for (length, imaginary, *ab), c in walked.items():
+                        assert (length, imaginary) == (L, 0)
+                        table[tuple(ab)] = c
+                    scale = 2 ** (L - word.count(Z))  # the walk doubles S+ and S-
+                    assert (scale * vectors[word] == table[a, b]).all(), (N, k, word)
 
 
 def test_dense_oracle_long_words_and_the_work_budget(monkeypatch):
@@ -377,16 +377,22 @@ def test_dense_oracle_long_words_and_the_work_budget(monkeypatch):
         poly = parse_polynomial(expr)
         dense, engine = dense_oracle_trace(14, poly), normalized_trace(14, poly)
         assert (dense.exact, dense.sqrt_n) == (engine.exact, engine.sqrt_n), expr
+    # 3^12 words of 12 letters, but the walk applies only 36 letters per shell
+    poly = parse_polynomial("(S+ + S- + Sz)^12")
+    start = time.perf_counter()
+    dense = dense_oracle_trace(14, poly)
+    assert time.perf_counter() - start < 1.0
+    engine = normalized_trace(14, poly)
+    assert (dense.exact, dense.sqrt_n) == (engine.exact, engine.sqrt_n)
 
     def no_work(*args):
         raise AssertionError("word expansion or walk began")
 
+    # the oracle's work is bounded by the engine's budget, checked first
     monkeypatch.setattr(spin_core, "words", no_work)
-    monkeypatch.setattr(spin_core, "_letter", no_work)
-    # 3^12 words of 12 letters: 15 * 3^12 * 12 * 13 letter steps at N = 14
-    with pytest.raises(ResourceLimitError,
-                       match=f"predicted {15 * 3**12 * 12 * 13} letter steps"):
-        dense_oracle_trace(14, parse_polynomial("(S+ + S- + Sz)^12"))
+    monkeypatch.setattr(spin_core, "_shell_apply", no_work)
+    with pytest.raises(ResourceLimitError, match="exceed the budget of"):
+        dense_oracle_trace(14, parse_polynomial("(S+ + S- + Sz + 1)^64"))
 
 
 @pytest.mark.parametrize("N", [13, 14])
@@ -407,6 +413,24 @@ def test_engine_equals_oracle_on_random_draws_at_thirteen_and_fourteen_sites():
         poly = _random_poly(rng)
         engine, dense = normalized_trace(N, poly), dense_oracle_trace(N, poly)
         assert (engine.exact, engine.sqrt_n) == (dense.exact, dense.sqrt_n), (N, poly)
+
+
+@pytest.mark.parametrize("N", [CROSSOVER_N + 1, 500, 1000])
+def test_engine_equals_the_uncapped_walk_at_large_n(monkeypatch, N):
+    # the walk has no 2^N object: without its cap it checks the engine's
+    # fitted polynomials in N, where no sector sum is taken
+    monkeypatch.setattr(spin_core, "DENSE_ORACLE_CAP", N)
+    rng = random.Random(N)
+    polys = [_random_poly(rng, max_degree=8, max_terms=4) for _ in range(20)]
+    polys += map(parse_polynomial, ("(S+*S- + S-*S+)^5", "(S+ + S- + Sz)^6"))
+    lengths, complex_coeffs = set(), False
+    for poly in polys:
+        engine, dense = normalized_trace(N, poly), dense_oracle_trace(N, poly)
+        assert (engine.exact, engine.sqrt_n) == (dense.exact, dense.sqrt_n), poly
+        terms = words(poly)
+        lengths |= {len(w) for w in terms}
+        complex_coeffs |= any(not c.is_real for c in terms.values())
+    assert any(L % 2 for L in lengths) and max(lengths) >= 7 and complex_coeffs
 
 
 def test_trace_budget():
@@ -837,6 +861,7 @@ def test_digits_budget_is_checked_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("sector or matrix work began")
 
+    walk, letter = spin_core._shell_apply, spin_core._letter
     monkeypatch.setattr(spin_core, "sector_moments", no_work)
     monkeypatch.setattr(spin_core, "_letter", no_work)
     sz = parse_polynomial("Sz^2")
@@ -851,15 +876,16 @@ def test_digits_budget_is_checked_before_any_work(monkeypatch):
             with pytest.raises(ValueError, match="digits must be >= 1"):
                 trace(4, sz, digits=digits)
 
-    # every refusal of either dense oracle also comes before any word
-    # expansion or walk, and before numpy is imported
+    # every refusal of either dense oracle also comes before any walk, and
+    # before numpy is imported; neither oracle expands words at all
     monkeypatch.setattr(spin_core, "words", no_work)
+    monkeypatch.setattr(spin_core, "_shell_apply", no_work)
     monkeypatch.setitem(sys.modules, "numpy", None)
     params = xy.XYParams(Fraction(1), Fraction(4))
     oracles = ((dense_oracle_trace, spin_core.DENSE_ORACLE_CAP),
                (functools.partial(xy.spin_thermal_dense_oracle, params),
                 xy.DENSE_ORACLE_CAP))
-    too_long = parse_polynomial("(S+ + S- + Sz)^12")
+    too_long = parse_polynomial("(S+ + S- + Sz + 1)^64")
     for oracle, cap in oracles:
         for N in (0, -1):
             with pytest.raises(ValueError, match="N must be >= 1"):
@@ -868,7 +894,9 @@ def test_digits_budget_is_checked_before_any_work(monkeypatch):
             oracle(cap + 1, sz)
         with pytest.raises(ResourceLimitError, match="exceed the budget of"):
             oracle(cap, too_long)
-    monkeypatch.setattr(spin_core, "words", words)
+    # the walk refuses an imaginary entry on the level of e_k, still before numpy
+    monkeypatch.setattr(spin_core, "_shell_apply", walk)
+    monkeypatch.setattr(spin_core, "_letter", letter)
     i_number = node("product", node("constant", ComplexRational(0, 1)),
                     node("letter", PLUS), node("letter", MINUS))
     with pytest.raises(ValueError, match="requires real coefficients"):

@@ -151,14 +151,20 @@ def test_spin_thermal_against_dense_oracle():
         spin_thermal_dense_oracle(params, 13, poly)
 
 
-def test_spin_thermal_dense_oracle_refuses_words_beyond_the_work_budget():
-    # 3^12 words of 12 letters at N = 12; refused before they are expanded
+def test_spin_thermal_dense_oracle_refuses_words_beyond_the_work_budget(monkeypatch):
+    # the oracle's work is bounded by the engine's budget, checked before any walk
     params = XYParams(Fraction(1), Fraction(4))
-    with pytest.raises(ResourceLimitError,
-                       match=f"predicted {13 * 3**12 * 12 * 13} letter steps"):
-        spin_thermal_dense_oracle(params, 12, parse_polynomial("(S+ + S- + Sz)^12"))
-    # long words are cheap: 2^12 * 12^16 >= 2^63 does not matter to the walk
-    for expr in ("Sz^16 - Sz^16 + S+*S-", "Sz^16", "S-^6*Sz^4*S+^6"):
+
+    def no_walk(*args):
+        raise AssertionError("the walk began")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(spin_core, "_shell_apply", no_walk)
+        with pytest.raises(ResourceLimitError, match="exceed the budget of"):
+            spin_thermal_dense_oracle(params, 12, parse_polynomial("(S+ + S- + Sz + 1)^64"))
+    # within it, 3^12 words of 12 letters are 36 letter applications per shell,
+    # and long words are cheap: 2^12 * 12^16 >= 2^63 does not matter to the walk
+    for expr in ("(S+ + S- + Sz)^12", "Sz^16 - Sz^16 + S+*S-", "Sz^16", "S-^6*Sz^4*S+^6"):
         poly = parse_polynomial(expr)
         assert spin_thermal_dense_oracle(params, 12, poly) == pytest.approx(
             spin_thermal_expectation(params, 12, poly), rel=1e-12), expr
@@ -175,7 +181,7 @@ def test_spin_thermal_dense_oracle_constants_and_imaginary_words():
     assert spin_thermal_dense_oracle(params, 6, poly) == pytest.approx(
         spin_thermal_expectation(params, 6, poly), rel=1e-12)
     # i S+S- has an imaginary diagonal, and both sides refuse it; i S+ has
-    # none, so the engine's mean is 0, but the oracle refuses it too
+    # none, and leaves the level of every e_k, so its mean is 0 on both sides
     i = spin_core.node("constant", ComplexRational(0, 1))
     plus, minus = (spin_core.node("letter", ch) for ch in "+-")
     i_number, i_plus = (spin_core.node("product", i, *letters)
@@ -184,8 +190,7 @@ def test_spin_thermal_dense_oracle_constants_and_imaginary_words():
         with pytest.raises(ValueError, match="requires real coefficients"):
             expectation(params, 6, i_number)
     assert spin_thermal_expectation(params, 6, i_plus) == 0.0
-    with pytest.raises(ValueError, match="requires real coefficients"):
-        spin_thermal_dense_oracle(params, 6, i_plus)
+    assert spin_thermal_dense_oracle(params, 6, i_plus) == 0.0
 
 
 @pytest.mark.parametrize("gamma, kT", [(1, 4), (-1, 3)])
