@@ -116,13 +116,11 @@ def ordering_sensitivity(poly: SpinPolynomial, N: int) -> float:
     orderings of w, one sector pass per letter multiset, rounded once.
     """
     spin_core.check_trace_budget(N, poly)
+    if poly.degree > MAX_ORDERING_LETTERS:
+        raise spin_core.ResourceLimitError(
+            f"words of {poly.degree} letters exceed the ordering cap {MAX_ORDERING_LETTERS}")
     weights = {}  # sorted letters: the largest |c|^2 of a word made of them
     for word, coeff in spin_core.words(poly).items():
-        if len(word) > MAX_ORDERING_LETTERS:
-            raise spin_core.ResourceLimitError(
-                f"word of length {len(word)} exceeds the ordering cap "
-                f"{MAX_ORDERING_LETTERS}"
-            )
         letters = tuple(sorted(word))
         weights[letters] = max(weights.get(letters, 0), coeff.re**2 + coeff.im**2)
     worst = 0.0

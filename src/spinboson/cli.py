@@ -271,8 +271,7 @@ def _cmd_oracle(args):
                 {"N": n, "engine": engine.decimal, "dense": dense.decimal,
                  "match": True})
 
-    return _per_n(args, lambda n: spin_core.check_dense_budget(
-        n, expr, spin_core.DENSE_ORACLE_CAP), step)
+    return _per_n(args, lambda n: spin_core.check_dense_budget(n, expr), step)
 
 
 def _require(args, name):

@@ -45,15 +45,15 @@ Z = "z"
 #: A word is a finite tuple of letters, applied right-to-left like a product.
 SpinWord = Tuple[str, ...]
 
-#: largest N of the dense trace oracle
+#: largest N of both dense oracles, trace and XY
 DENSE_ORACLE_CAP = 14
 #: longest word a trace or a power p**k may hold; trace cost grows ~ L^3
 MAX_WORD_LETTERS = 64
 #: largest N whose trace sums every sector, at most 8256 cells; above it only
 #: the interpolation nodes n <= MAX_WORD_LETTERS // 2 + 2 are summed, once per key
 CROSSOVER_N = 2 * MAX_WORD_LETTERS
-#: budget on the estimated number of terms in the word expansion of a product
-#: or power, about 6 s at most: normal-order of (S+ + S- + Sz)^10, 59049
+#: budget on the terms of a word expansion, as bounded from its tree before any
+#: term is built, about 6 s at most: normal-order of (S+ + S- + Sz)^10, 59049
 #: words, takes 3.7 s, ~60 us per word (2-vCPU VM, Python 3.11)
 MAX_POWER_TERMS = 10**5
 #: budget on shifts x letter counts x (a, u) monomials of an expression, about
@@ -154,39 +154,43 @@ def _multiply_words(p: dict, q: dict) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _terms_estimate(factors: list) -> int:
-    """Estimate min(t_1 ... t_k, sum_{L <= d_1 + ... + d_k} a^L) of the terms
-    of the product of ``factors``, term maps of t_i terms of degree d_i with a
-    distinct letters in all.  Values are clipped where they are already over
-    the budget, so no large integer is built."""
+def _word_bound(poly: SpinPolynomial) -> Tuple[int, frozenset]:
+    """(bound, letters): ``poly`` expands to at most ``bound`` words, made of
+    ``letters``.  A letter or a constant, 0 too, is one term, terms add in a
+    sum and multiply in a product or a power, and no node has more than its
+    letters make in at most ``degree`` places; so no node or partial product
+    below has more.  Each bound is clipped just over ``MAX_POWER_TERMS``."""
+    kind, args = poly.kind, poly.args
+    if kind in ("letter", "constant"):
+        return 1, frozenset(args if kind == "letter" else ())
+    bounds, sets = zip(*map(_word_bound, args[:1] if kind == "power" else args))
+    bound = sum(bounds) if kind == "sum" else math.prod(bounds)
+    letters, d = frozenset().union(*sets), poly.degree
     clip = MAX_POWER_TERMS.bit_length()  # 2**clip > MAX_POWER_TERMS
-    letters = len(set().union(*(word for terms in factors for word in terms)))
-    length = sum(max(map(len, terms), default=0) for terms in factors)
-    count = sum(letters**L for L in range(min(length, clip) + 1))
-    product = 1
-    for terms in factors:
-        product = min(product * len(terms), MAX_POWER_TERMS + 1)
-    return min(product, count)
+    places = range(d + 1 if len(letters) < 2 else min(d, clip) + 1)
+    count = sum(len(letters) ** L for L in places)
+    bound **= args[1] if kind == "power" else 1
+    return min(bound, count, MAX_POWER_TERMS + 1), letters
 
 
 def words(poly: SpinPolynomial) -> Dict[SpinWord, ComplexRational]:
-    """The word expansion {word: coefficient} of ``poly``, without zero terms.
+    """The word expansion {word: coefficient} of ``poly``, without zero terms,
+    refused before any term is built if ``_word_bound`` exceeds the budget."""
+    if _word_bound(poly)[0] > MAX_POWER_TERMS:
+        raise ResourceLimitError(f"the expansion would have more than {MAX_POWER_TERMS} terms")
 
-    A product or power whose expansion ``_terms_estimate`` puts above
-    ``MAX_POWER_TERMS`` terms is refused before it is multiplied out.
-    """
-    kind, args = poly.kind, poly.args
-    if kind == "letter":
-        return {args: ComplexRational(1)}
-    if kind == "constant":
-        return {(): args[0]} if args[0] else {}
-    if kind == "sum":
-        return functools.reduce(_add_words, map(words, args))
-    factors = [words(args[0])] * args[1] if kind == "power" else list(map(words, args))
-    if _terms_estimate(factors) > MAX_POWER_TERMS:
-        raise ResourceLimitError(f"a product of {len(factors)} factors "
-                                 f"would have more than {MAX_POWER_TERMS} terms")
-    return functools.reduce(_multiply_words, factors, {(): ComplexRational(1)})
+    def expand(expr):
+        kind, args = expr.kind, expr.args
+        if kind == "letter":
+            return {args: ComplexRational(1)}
+        if kind == "constant":
+            return {(): args[0]} if args[0] else {}
+        if kind == "sum":
+            return functools.reduce(_add_words, map(expand, args))
+        factors = [expand(args[0])] * args[1] if kind == "power" else map(expand, args)
+        return functools.reduce(_multiply_words, factors, {(): ComplexRational(1)})
+
+    return expand(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +556,12 @@ def _normalized_trace_float(N: int, exact, sqrt_n, digits: int) -> TraceResult:
 # ---------------------------------------------------------------------------
 
 
-def check_dense_budget(N: int, poly: SpinPolynomial, cap: int) -> None:
+def check_dense_budget(N: int, poly: SpinPolynomial) -> None:
     """Refuse a dense oracle of ``poly`` at N sites before any walk: what
-    ``check_trace_budget`` refuses, then N above the oracle's ``cap``."""
+    ``check_trace_budget`` refuses, then N above ``DENSE_ORACLE_CAP``."""
     check_trace_budget(N, poly)
-    if N > cap:
-        raise ResourceLimitError(f"dense oracle supports N <= {cap}; got N={N}")
+    if N > DENSE_ORACLE_CAP:
+        raise ResourceLimitError(f"dense oracle supports N <= {DENSE_ORACLE_CAP}; got N={N}")
 
 
 def _letter(N: int, k: int, ch: str, state: dict) -> dict:
@@ -619,11 +623,10 @@ def dense_oracle_trace(N: int, poly: SpinPolynomial, digits: int = 12) -> TraceR
     where e_k = |k, 0> is a single state; ``_shell_apply`` walks the tree on
     it, and <e_k|poly|e_k> is the coefficient of |k, 0>, exact in Python
     integers.  Refuses digits below 1 or above ``MAX_DIGITS``, then what
-    ``check_dense_budget`` refuses with the cap ``DENSE_ORACLE_CAP``, before
-    any walk.
+    ``check_dense_budget`` refuses, before any walk.
     """
     check_digits(digits)
-    check_dense_budget(N, poly, DENSE_ORACLE_CAP)
+    check_dense_budget(N, poly)
     traces: Dict[Tuple[int, int], int] = {}  # (L, imaginary): sum over shells
     binomial = 1  # C(N, k)
     for k in range(N + 1):

@@ -46,8 +46,6 @@ GUARD_DIGITS = 20
 _SMALLEST_FLOAT = decimal.Decimal(math.ulp(0.0))
 #: budget on (N + 1) x degree, the cells of a sum over every sector
 MAX_TRACE_CELLS = 10**8
-#: largest N of the dense XY oracle
-DENSE_ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -211,11 +209,11 @@ def spin_thermal_dense_oracle(
     tree of S+*S- + S-*S+ there for H, and the tree of ``poly`` on e_k.  Each
     sum divided by its norm sqrt(C(k, a) C(N - k, k - a)) makes H symmetric,
     and one ``eigh`` per shell gives the Boltzmann factors.  Before any walk
-    ``check_dense_budget`` refuses what it refuses with the cap
-    ``DENSE_ORACLE_CAP``; an imaginary entry left on the level of some e_k
-    is refused as ``spin_thermal_expectation`` refuses an imaginary diagonal.
+    ``check_dense_budget`` refuses what it refuses, N above 14 among it, as
+    for ``dense_oracle_trace``; an imaginary entry left on the level of some
+    e_k is refused as ``spin_thermal_expectation`` refuses an imaginary diagonal.
     """
-    spin_core.check_dense_budget(N, poly, DENSE_ORACLE_CAP)
+    spin_core.check_dense_budget(N, poly)
     plus, minus = spin_core.node("letter", PLUS), spin_core.node("letter", MINUS)
     h_tree = spin_core.node("sum", spin_core.node("product", plus, minus),
                             spin_core.node("product", minus, plus))

@@ -133,9 +133,15 @@ def test_ordering_sensitivity_degree_four_decays():
     assert s48 <= (s12 * 12) / 48 * 1.01
 
 
-def test_ordering_sensitivity_cap():
-    with pytest.raises(ResourceLimitError):
-        ordering_sensitivity(parse_polynomial("(S+*S-)^6"), 8)
+def test_ordering_sensitivity_cap(monkeypatch):
+    # the degree is checked on the tree, before any word is expanded
+    def expanded(poly):
+        raise AssertionError("the words were expanded")
+
+    monkeypatch.setattr(spin_core, "words", expanded)
+    for text in ("(S+*S-)^6", "(S+ + S- + Sz)^10*Sz"):
+        with pytest.raises(ResourceLimitError, match="exceed the ordering cap 10"):
+            ordering_sensitivity(parse_polynomial(text), 8)
 
 
 def _spread(coeff, word, N):

@@ -307,6 +307,11 @@ def test_power_budget_exits_before_expanding(capsys):
     # normal-order lists the 2^40 words, so the word expansion refuses them
     code, _, err = run(capsys, "normal-order", "--expr", "(S+ + S-)^40")
     assert code == 2 and "resource error" in err
+    # so are three terms of at most 3^10 words each, 177147 in all
+    three = "(S+ + S- + Sz)"
+    code, out, err = run(capsys, "normal-order", "--expr",
+                         f"{three}^10 + {three}^10*S+ + {three}^10*S-")
+    assert code == 2 and out == "" and "more than 100000 terms" in err
     # trace evaluates the tree: (2 Sx)^40 at N = 4 is a binomial moment
     code, out, _ = run(capsys, "trace", "--expr", "(S+ + S-)^40", "--n", "4",
                        "--digits", "20")

@@ -438,14 +438,30 @@ def test_trace_budget():
     assert normalized_trace(10**8, _sx(2)).exact == Fraction(1, 4)
 
 
-def test_power_budget_rejects_before_expanding():
-    # (S+ + S-)^40 would have 2^40 words; none of them is built
-    with pytest.raises(ResourceLimitError, match="more than 100000 terms"):
-        words(parse_polynomial("(S+ + S-)^40"))
+def _no_expansion(monkeypatch):
+    def expanded(*args):
+        raise AssertionError("a word expansion began")
+
+    monkeypatch.setattr(spin_core, "_multiply_words", expanded)
+    monkeypatch.setattr(spin_core, "_add_words", expanded)
+
+
+def test_power_budget_rejects_before_expanding(monkeypatch):
+    # the bound is read off the whole tree, so neither a factor nor a term is
+    # expanded first: (S+ + S-)^40, 2^40 words; the ^11 power, 3^11 words,
+    # alone, in a sum or split into two factors; three terms of at most 3^10
+    # words each, 177147 in all; terms counted before they cancel; and a zero
+    # factor, which hides no expansion of the factors before it
+    three = "(S+ + S- + Sz)"
+    with monkeypatch.context() as patched:
+        _no_expansion(patched)
+        for text in ("(S+ + S-)^40", f"{three}^11", f"{three}^10 + {three}^11",
+                     f"{three}^9*{three}^3", f"{three}^10 + {three}^10*S+ + {three}^10*S-",
+                     "(S+ - S+ + Sz)^20", "(S+ + S-)^16*(S+ + S-)^16*0"):
+            with pytest.raises(ResourceLimitError, match="more than 100000 terms"):
+                words(parse_polynomial(text))
     # (S+ + S- + Sz)^10, 59049 words, is the largest power of three letters admitted
-    three = words(parse_polynomial("S+ + S- + Sz"))
-    assert (spin_core._terms_estimate([three] * 10) <= spin_core.MAX_POWER_TERMS
-            < spin_core._terms_estimate([three] * 11))
+    assert spin_core._word_bound(parse_polynomial(f"{three}^10"))[0] == 3**10
     # t^k is large, but one letter bounds the result to 31 words
     assert len(words(parse_polynomial("(1 + Sz)^30"))) == 31
 
@@ -454,12 +470,16 @@ def test_power_budget_rejects_before_expanding():
     "(S+ + S- + Sz)^8",
     "(S+ + S- + Sz)^4*(S+ + S- + Sz)^4",
     "(S+ + S- + Sz)^2*(S+ + S- + Sz)^2*(S+ + S- + Sz)^2*(S+ + S- + Sz)*(S+ + S- + Sz)",
+    "(S+ + S- + Sz)^4 + (S+ + S- + Sz)^4*S+",
 ])
 def test_product_budget_rejects_like_a_power(monkeypatch, expr):
-    # 3^8 = 6561 words, whether written as a power or as a product
+    # 3^8 = 6561 words, whether written as a power or as a product, and
+    # 2 x 3^4 = 162 from two terms of 81: each refused before any expansion
     monkeypatch.setattr(spin_core, "MAX_POWER_TERMS", 100)
-    with pytest.raises(ResourceLimitError, match="more than 100 terms"):
-        words(parse_polynomial(expr))
+    with monkeypatch.context() as patched:
+        _no_expansion(patched)
+        with pytest.raises(ResourceLimitError, match="more than 100 terms"):
+            words(parse_polynomial(expr))
     assert len(words(parse_polynomial("(S+ + S- + Sz)^2*(S+ + S- + Sz)^2"))) == 81
 
 
@@ -882,11 +902,8 @@ def test_digits_budget_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(spin_core, "_shell_apply", no_work)
     monkeypatch.setitem(sys.modules, "numpy", None)
     params = xy.XYParams(Fraction(1), Fraction(4))
-    oracles = ((dense_oracle_trace, spin_core.DENSE_ORACLE_CAP),
-               (functools.partial(xy.spin_thermal_dense_oracle, params),
-                xy.DENSE_ORACLE_CAP))
-    too_long = parse_polynomial("(S+ + S- + Sz + 1)^64")
-    for oracle, cap in oracles:
+    cap, too_long = spin_core.DENSE_ORACLE_CAP, parse_polynomial("(S+ + S- + Sz + 1)^64")
+    for oracle in (dense_oracle_trace, functools.partial(xy.spin_thermal_dense_oracle, params)):
         for N in (0, -1):
             with pytest.raises(ValueError, match="N must be >= 1"):
                 oracle(N, sz)

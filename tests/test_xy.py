@@ -143,12 +143,13 @@ def test_spin_converges_to_joint_boson_value():
 def test_spin_thermal_against_dense_oracle():
     params = XYParams(Fraction(1), Fraction(4))
     poly = _number_op()
-    for N in (4, 7, 10, 11, 12):
+    # both dense oracles stop at the one cap, N = 14
+    for N in (4, 7, 10, 11, 12, 13, 14):
         fast = spin_thermal_expectation(params, N, poly)
         dense = spin_thermal_dense_oracle(params, N, poly)
         assert fast == pytest.approx(dense, rel=1e-10)
-    with pytest.raises(ResourceLimitError):
-        spin_thermal_dense_oracle(params, 13, poly)
+    with pytest.raises(ResourceLimitError, match="N <= 14; got N=15"):
+        spin_thermal_dense_oracle(params, 15, poly)
 
 
 def test_spin_thermal_dense_oracle_refuses_words_beyond_the_work_budget(monkeypatch):
