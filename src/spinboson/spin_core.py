@@ -159,7 +159,7 @@ def _word_bound(poly: SpinPolynomial) -> Tuple[int, frozenset]:
     ``letters``.  A letter or a constant, 0 too, is one term, terms add in a
     sum and multiply in a product or a power, and no node has more than its
     letters make in at most ``degree`` places; so no node or partial product
-    below has more.  Each bound is clipped just over ``MAX_POWER_TERMS``."""
+    that ``words`` builds below has more.  Clipped just over ``MAX_POWER_TERMS``."""
     kind, args = poly.kind, poly.args
     if kind in ("letter", "constant"):
         return 1, frozenset(args if kind == "letter" else ())
@@ -187,6 +187,8 @@ def words(poly: SpinPolynomial) -> Dict[SpinWord, ComplexRational]:
             return {(): args[0]} if args[0] else {}
         if kind == "sum":
             return functools.reduce(_add_words, map(expand, args))
+        if kind == "power" and not args[1]:  # 1: its uncounted base is not expanded
+            return {(): ComplexRational(1)}
         factors = [expand(args[0])] * args[1] if kind == "power" else map(expand, args)
         return functools.reduce(_multiply_words, factors, {(): ComplexRational(1)})
 

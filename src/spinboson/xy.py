@@ -209,10 +209,9 @@ def spin_thermal_dense_oracle(
     tree of S+*S- + S-*S+ there for H, and the tree of ``poly`` on e_k.  Each
     sum divided by its norm sqrt(C(k, a) C(N - k, k - a)) makes H symmetric,
     and one ``eigh`` per shell gives the Boltzmann factors.  Before any walk
-    ``check_dense_budget`` refuses what it refuses, N above 14 among it, as
-    for ``dense_oracle_trace``; an imaginary entry left on the level of some
-    e_k is refused as ``spin_thermal_expectation`` refuses an imaginary diagonal.
-    """
+    ``check_dense_budget`` refuses, as for ``dense_oracle_trace``, N above
+    ``spin_core.DENSE_ORACLE_CAP`` among others; an imaginary entry on the level
+    of e_k is refused, as ``spin_thermal_expectation`` refuses an imaginary diagonal."""
     spin_core.check_dense_budget(N, poly)
     plus, minus = spin_core.node("letter", PLUS), spin_core.node("letter", MINUS)
     h_tree = spin_core.node("sum", spin_core.node("product", plus, minus),

@@ -139,7 +139,8 @@ def test_ordering_sensitivity_cap(monkeypatch):
         raise AssertionError("the words were expanded")
 
     monkeypatch.setattr(spin_core, "words", expanded)
-    for text in ("(S+*S-)^6", "(S+ + S- + Sz)^10*Sz"):
+    # the degree of the tree, also where long words cancel or are multiplied by 0
+    for text in ("(S+*S-)^6", "(S+ + S- + Sz)^10*Sz", "S+^11 - S+^11 + Sz", "Sz^12*0"):
         with pytest.raises(ResourceLimitError, match="exceed the ordering cap 10"):
             ordering_sensitivity(parse_polynomial(text), 8)
 

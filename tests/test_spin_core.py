@@ -438,12 +438,12 @@ def test_trace_budget():
     assert normalized_trace(10**8, _sx(2)).exact == Fraction(1, 4)
 
 
-def _no_expansion(monkeypatch):
+def _no_expansion(monkeypatch, names=("_multiply_words", "_add_words")):
     def expanded(*args):
         raise AssertionError("a word expansion began")
 
-    monkeypatch.setattr(spin_core, "_multiply_words", expanded)
-    monkeypatch.setattr(spin_core, "_add_words", expanded)
+    for name in names:
+        monkeypatch.setattr(spin_core, name, expanded)
 
 
 def test_power_budget_rejects_before_expanding(monkeypatch):
@@ -460,6 +460,11 @@ def test_power_budget_rejects_before_expanding(monkeypatch):
                      "(S+ - S+ + Sz)^20", "(S+ + S-)^16*(S+ + S-)^16*0"):
             with pytest.raises(ResourceLimitError, match="more than 100000 terms"):
                 words(parse_polynomial(text))
+    # a zero power is 1: its base, 2^40 words, is never expanded, so no sum is added up
+    with monkeypatch.context() as patched:
+        _no_expansion(patched, ["_add_words"])
+        assert words(parse_polynomial("((S+ + S-)^40)^0")) == {(): ComplexRational(1)}
+        assert words(parse_polynomial("((S+ + S-)^40)^0*Sz")) == {(Z,): ComplexRational(1)}
     # (S+ + S- + Sz)^10, 59049 words, is the largest power of three letters admitted
     assert spin_core._word_bound(parse_polynomial(f"{three}^10"))[0] == 3**10
     # t^k is large, but one letter bounds the result to 31 words
